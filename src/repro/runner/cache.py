@@ -7,9 +7,12 @@ re-run of ``python -m repro table2`` therefore recomputes nothing, while
 *any* change to the platform config, the sweep grid, or the engine's
 numeric behaviour misses cleanly.
 
-Entries are JSON files under ``<root>/<key[:2]>/<key>.json``.  The cache is
-fail-soft: unreadable/unwritable storage degrades to recomputation, never
-to an error — results must not depend on filesystem health.
+Entries are rows of one WAL-journalled sqlite table in
+``<root>/results.sqlite``.  The per-entry ``<root>/<key[:2]>/<key>.json``
+trees of older releases are ignored (the first run after upgrading
+recomputes) and may be deleted.  The cache is fail-soft: unreadable/unwritable storage degrades to
+recomputation, never to an error — results must not depend on
+filesystem health.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sqlite3
+import threading
+import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
@@ -25,6 +31,14 @@ from .shard import canonical_json
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+#: How long a writer waits on another process's transaction (seconds).
+BUSY_TIMEOUT_S = 5.0
+
+_SCHEMA = (
+    "CREATE TABLE IF NOT EXISTS entries (key TEXT PRIMARY KEY,"
+    " payload TEXT NOT NULL, bytes INTEGER NOT NULL, written REAL NOT NULL)"
+)
 
 
 def default_cache_root() -> Path:
@@ -40,35 +54,33 @@ class ResultCache:
 
     ``max_bytes`` bounds the cache's total entry size: when a
     :meth:`put` pushes the total over the budget, the oldest entries (by
-    file modification time) are evicted until it fits again, so a
-    long-lived service node cannot fill its disk.  Evictions are counted
-    in :attr:`evicted` and surface as the ``runner.cache.evicted``
-    metric.  ``max_bytes=None`` (the default) keeps the historical
-    unbounded behaviour.
+    write time) are evicted until it fits again, so a long-lived service
+    node cannot fill its disk.  Evictions are counted in :attr:`evicted`
+    and surface as the ``runner.cache.evicted`` metric.
+    ``max_bytes=None`` (the default) keeps the historical unbounded
+    behaviour.
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path, None] = None,
-        max_bytes: Optional[int] = None,
-    ):
+    def __init__(self, root: Union[str, Path, None] = None,
+                 max_bytes: Optional[int] = None):
         if max_bytes is not None and max_bytes < 1:
             raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
         self.root = Path(root) if root is not None else default_cache_root()
+        self.path = self.root / "results.sqlite"
         self.max_bytes = max_bytes
         #: Fulfilled / recomputed lookups, for tests and ``--jobs`` tuning.
         self.hits = 0
         self.misses = 0
-        #: Entries that existed on disk but failed to parse (also misses).
+        #: Entries that existed but failed to parse (also misses).
         self.corrupt = 0
         #: Payloads refused by :meth:`put` (non-finite floats — not JSON).
         self.rejected = 0
         #: Entries removed to keep the cache under ``max_bytes``.
         self.evicted = 0
-        # Running total of entry bytes, scanned lazily on the first
-        # budgeted put (other writers may share the directory, so the
-        # enforcement scan below re-walks the tree before evicting).
+        # Entry bytes as of the last eviction pass plus this handle's puts
+        # since; None until the first budgeted put reads the table.
         self._total_bytes: Optional[int] = None
+        self._local = threading.local()
 
     def key(self, **components: Any) -> str:
         """SHA-256 hex key over the canonical JSON of ``components``.
@@ -79,126 +91,113 @@ class ResultCache:
         material = canonical_json({"engine": ENGINE_VERSION, **components})
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    def _db(self) -> sqlite3.Connection:
+        """This process and thread's connection, opened on first use.
+
+        Keyed by pid: a forked child opens its own and leaves the inherited
+        one unused and open (closing it could unlink the parent's WAL).
+        """
+        opened = self._local.__dict__.setdefault("by_pid", {})
+        db = opened.get(os.getpid())
+        if db is None:
+            self.root.mkdir(parents=True, exist_ok=True)
+            db = sqlite3.connect(self.path, timeout=BUSY_TIMEOUT_S,
+                                 isolation_level=None)
+            try:
+                db.execute("PRAGMA journal_mode = WAL")
+            except sqlite3.OperationalError:
+                pass  # a concurrent first opener is switching the file to WAL
+            # A lost tail of entries on power failure costs a recompute.
+            db.execute("PRAGMA synchronous = NORMAL")
+            db.execute(_SCHEMA)
+            opened[os.getpid()] = db
+        return db
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The stored payload for ``key``, or None (counts hit/miss).
 
-        An entry that exists but fails to parse (a torn or truncated write)
-        is evicted best-effort rather than left to be re-parsed — and
-        re-missed — on every subsequent run.
+        An entry that fails to parse is deleted (best effort) rather than
+        re-missed on every later run.
         """
-        path = self._path(key)
         try:
-            text = path.read_text()
-        except OSError:
+            db = self._db()
+            row = db.execute("SELECT payload FROM entries WHERE key = ?",
+                             (key,)).fetchone()
+        except (sqlite3.Error, OSError):
+            row = None
+        if row is None:
             self.misses += 1
             return None
         try:
-            payload = json.loads(text)
-        except ValueError:
+            payload = json.loads(row[0])
+        except (TypeError, ValueError):
             self.corrupt += 1
             self.misses += 1
             try:
-                path.unlink()
-            except OSError:
+                db.execute("DELETE FROM entries WHERE key = ?", (key,))
+            except sqlite3.Error:
                 pass  # fail-soft: the recompute will overwrite it anyway
             return None
         self.hits += 1
         return payload
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:
-        """Store ``payload`` under ``key`` (best effort, atomic rename).
+        """Store ``payload`` under ``key`` (best effort).
 
-        Entries must be *standard* JSON: a payload with a NaN/Infinity
-        float would serialize to the non-JSON ``NaN``/``Infinity`` tokens,
-        which strict parsers (and sqlite's JSON functions) reject.  Such a
-        payload is simply not stored — the sweep keeps its in-memory value
-        and the point recomputes next run — rather than poisoning the
-        cache with an entry other readers cannot parse.
+        A payload holding a NaN/Infinity float is refused and counted in
+        :attr:`rejected`: those tokens are not standard JSON, so strict
+        readers (sqlite's JSON functions among them) could not parse the
+        entry.  The sweep keeps its in-memory value and the point
+        recomputes next run.
         """
-        path = self._path(key)
         try:
             text = json.dumps(payload, sort_keys=True, allow_nan=False)
         except ValueError:
             self.rejected += 1
             return
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_text(text)
-            tmp.replace(path)
-        except OSError:
-            return  # fail-soft: a broken cache only costs recomputation
-        if self.max_bytes is not None:
-            if self._total_bytes is None:
-                self._total_bytes = self._scan_bytes()
+            db = self._db()
+            db.execute(
+                "INSERT OR REPLACE INTO entries (key, payload, bytes, written)"
+                " VALUES (?, ?, ?, ?)",
+                (key, text, len(text), time.time()),
+            )
+            if self.max_bytes is None:
+                return
+            if self._total_bytes is None or self._total_bytes + len(text) > self.max_bytes:
+                self._evict(db, keep=key)
             else:
                 self._total_bytes += len(text)
-            if self._total_bytes > self.max_bytes:
-                self._evict(keep=path)
+        except (sqlite3.Error, OSError):
+            return  # fail-soft: a broken cache only costs recomputation
 
-    def _scan_bytes(self) -> int:
-        total = 0
-        try:
-            for entry in self.root.glob("*/*.json"):
-                try:
-                    total += entry.stat().st_size
-                except OSError:
-                    pass
-        except OSError:
-            pass
-        return total
+    def _evict(self, db: sqlite3.Connection, keep: str) -> None:
+        """Drop oldest entries until the budget holds, sparing ``keep``.
 
-    def _evict(self, keep: Optional[Path] = None) -> None:
-        """Drop oldest entries (by mtime) until the budget holds.
-
-        Re-walks the directory so entries written by other processes
-        sharing the cache root are accounted for and evictable too.
-        ``keep`` protects the entry just written — evicting the newest
-        result to make room for itself would defeat the put.
+        Re-reads the table, so entries of other handles and processes
+        sharing the root count and are evictable too.  ``keep`` is the
+        entry just written: evicting it would defeat the put.
         """
-        entries = []
-        try:
-            for entry in self.root.glob("*/*.json"):
-                try:
-                    stat = entry.stat()
-                except OSError:
-                    continue
-                entries.append((stat.st_mtime, stat.st_size, entry))
-        except OSError:
-            return
-        total = sum(size for _, size, _ in entries)
-        entries.sort()  # oldest first
-        for _, size, entry in entries:
-            if total <= self.max_bytes:
-                break
-            if keep is not None and entry == keep:
-                continue
-            try:
-                entry.unlink()
-            except OSError:
-                continue
-            total -= size
-            self.evicted += 1
+        with db:
+            db.execute("BEGIN IMMEDIATE")
+            entries = db.execute(
+                "SELECT key, bytes FROM entries ORDER BY written, rowid"
+            ).fetchall()
+            total = sum(size for _, size in entries)
+            doomed = []
+            for key, size in entries:
+                if total <= self.max_bytes:
+                    break
+                if key != keep:
+                    doomed.append((key,))
+                    total -= size
+            db.executemany("DELETE FROM entries WHERE key = ?", doomed)
+        self.evicted += len(doomed)
         self._total_bytes = total
 
     def clear(self) -> int:
-        """Delete every entry; returns the number removed (test helper).
-
-        Also sweeps ``<key>.tmp.<pid>`` leftovers from writers that crashed
-        between :meth:`put`'s write and rename — those never match the
-        entry glob and would otherwise accumulate forever.
-        """
-        removed = 0
-        if not self.root.exists():
-            return removed
-        for pattern in ("*/*.json", "*/*.tmp.*"):
-            for entry in self.root.glob(pattern):
-                try:
-                    entry.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
+        """Delete every entry; returns the number removed (test helper)."""
+        try:
+            return self._db().execute("DELETE FROM entries").rowcount
+        except (sqlite3.Error, OSError):
+            return 0

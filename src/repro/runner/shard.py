@@ -10,10 +10,13 @@ parallel output bit-identical to serial output.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ReproError
 
@@ -24,9 +27,6 @@ SEED_SPACE = 1 << 63
 
 def _canonical(value: Any) -> Any:
     """JSON-compatible canonical form of seed-derivation components."""
-    import dataclasses
-    import enum
-
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             "__dataclass__": type(value).__name__,
@@ -50,9 +50,104 @@ def _canonical(value: Any) -> Any:
     )
 
 
+#: Encoded JSON of frozen dataclass values, keyed by ``id``.  Each entry
+#: holds the value itself, so the id cannot be reused while it is cached.
+#: Never keyed by value: equal configs may still encode differently
+#: (``1`` vs ``1.0`` vs ``True``, ``0.0`` vs ``-0.0``).
+_FROZEN_MEMO: Dict[int, Tuple[Any, str]] = {}
+_FROZEN_MEMO_MAX = 512
+#: Per frozen dataclass type: its field names, or None when it must take
+#: the reference path (a field named like the type marker would collide).
+_FROZEN_FIELDS: Dict[type, Optional[Tuple[str, ...]]] = {}
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _frozen_fields(cls: type) -> Optional[Tuple[str, ...]]:
+    try:
+        return _FROZEN_FIELDS[cls]
+    except KeyError:
+        pass
+    params = getattr(cls, "__dataclass_params__", None)
+    names: Optional[Tuple[str, ...]] = None
+    if params is not None and params.frozen:
+        names = tuple(f.name for f in dataclasses.fields(cls))
+        if "__dataclass__" in names:
+            names = None
+    _FROZEN_FIELDS[cls] = names
+    return names
+
+
+def _encode(value: Any) -> Tuple[str, bool]:
+    """``(json, immutable)`` for ``value``; the JSON is :func:`canonical_json`'s.
+
+    Exact builtin types are encoded directly; frozen dataclasses are
+    memoised when everything they hold is immutable.  Anything else
+    (enums, subclasses of builtins, non-frozen dataclasses, dicts whose
+    keys collide under ``str``) is delegated to the reference encoder —
+    JSON encoding is compositional, so its fragment splices in as is.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value), True
+    if kind is int:
+        return int.__repr__(value), True
+    if kind is float:
+        if value != value:
+            return "NaN", True
+        if value == math.inf:
+            return "Infinity", True
+        if value == -math.inf:
+            return "-Infinity", True
+        return float.__repr__(value), True
+    if kind is bool:
+        return ("true" if value else "false"), True
+    if value is None:
+        return "null", True
+    if kind is list or kind is tuple:
+        parts = [_encode(item) for item in value]
+        return (
+            "[" + ",".join(text for text, _ in parts) + "]",
+            kind is tuple and all(frozen for _, frozen in parts),
+        )
+    if kind is dict:
+        named = {str(key): item for key, item in value.items()}
+        if len(named) == len(value):
+            return (
+                "{" + ",".join([
+                    _encode_str(key) + ":" + _encode(named[key])[0]
+                    for key in sorted(named)
+                ]) + "}",
+                False,
+            )
+    elif not isinstance(value, type):
+        names = _frozen_fields(kind)
+        if names is not None:
+            cached = _FROZEN_MEMO.get(id(value))
+            if cached is not None and cached[0] is value:
+                return cached[1], True
+            parts = [("__dataclass__", _encode_str(kind.__name__), True)]
+            parts.extend((name, *_encode(getattr(value, name))) for name in names)
+            parts.sort(key=lambda part: part[0])
+            text = "{" + ",".join(
+                _encode_str(name) + ":" + encoded for name, encoded, _ in parts
+            ) + "}"
+            immutable = all(frozen for _, _, frozen in parts)
+            if immutable:
+                if len(_FROZEN_MEMO) >= _FROZEN_MEMO_MAX:
+                    _FROZEN_MEMO.clear()
+                _FROZEN_MEMO[id(value)] = (value, text)
+            return text, immutable
+    return json.dumps(_canonical(value), sort_keys=True, separators=(",", ":")), False
+
+
 def canonical_json(value: Any) -> str:
-    """Stable JSON encoding used for seed derivation and cache keys."""
-    return json.dumps(_canonical(value), sort_keys=True, separators=(",", ":"))
+    """Stable JSON encoding used for seed derivation and cache keys.
+
+    Byte-identical to ``json.dumps(_canonical(value), sort_keys=True,
+    separators=(",", ":"))``; a platform config carried in every shard's
+    params is encoded once per object rather than once per call.
+    """
+    return _encode(value)[0]
 
 
 def derive_seed(root_seed: int, *components: Any) -> int:

@@ -40,7 +40,9 @@ import sqlite3
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from ..analysis.results_io import _encode
 from ..errors import ReproError
@@ -188,6 +190,37 @@ class MemoStats:
     misses: int = 0
 
 
+def _encoded_rows(
+    shards: Sequence[Shard],
+    results: Sequence[Optional[Dict[str, Any]]],
+    material: Any,
+) -> Iterator[Tuple[Shard, str, Optional[str], Optional[str]]]:
+    """Yield each row's stored JSON, hashing its fingerprint bytes as it goes.
+
+    Each row is encoded once for both uses, and rows stream rather than
+    pile up (a sweep's params embed its whole platform config).  Yields
+    ``(shard, params_json, result_json, error_json)``; an error record
+    is stored as its error part only, but fingerprinted whole.
+    """
+    from ..runner.pool import SHARD_ERROR_KEY, is_error_record
+
+    for shard, result in zip(shards, results):
+        params_json = canonical_json(shard.params)
+        if type(shard.index) is int and type(shard.seed) is int:
+            head = f"[{shard.index},{shard.seed},{params_json}]"
+        else:
+            head = canonical_json([shard.index, shard.seed, shard.params])
+        result_json = _result_json(result)
+        material.update(head.encode("utf-8"))
+        material.update(b"\x00")
+        material.update(result_json.encode("utf-8"))
+        material.update(b"\x01")
+        if is_error_record(result):
+            yield shard, params_json, None, _result_json(result[SHARD_ERROR_KEY])
+        else:
+            yield shard, params_json, result_json, None
+
+
 def run_fingerprint(
     shards: Sequence[Shard], results: Sequence[Optional[Dict[str, Any]]]
 ) -> str:
@@ -200,15 +233,8 @@ def run_fingerprint(
     Wall-clock fields (timestamps, shard seconds) never participate.
     """
     material = hashlib.sha256()
-    for shard, result in zip(shards, results):
-        material.update(
-            canonical_json(
-                [shard.index, shard.seed, shard.params]
-            ).encode("utf-8")
-        )
-        material.update(b"\x00")
-        material.update(_result_json(result).encode("utf-8"))
-        material.update(b"\x01")
+    for _ in _encoded_rows(shards, results, material):
+        pass
     return material.hexdigest()
 
 
@@ -291,62 +317,57 @@ class CampaignStore:
         canonical prefix JSON to checkpoint digest (warm-start executors).
         ``cache_keys`` aligns per-slot result-cache keys, where known.
         """
-        from ..runner.pool import SHARD_ERROR_KEY, is_error_record
-
         if len(shards) != len(results):
             raise ReproError(
                 f"shards/results length mismatch: {len(shards)} != {len(results)}"
             )
-        fingerprint = run_fingerprint(shards, results)
         now = time.time() if started_at is None else started_at
+        material = hashlib.sha256()
         with self._db:
-            row = self._db.execute(
+            # Take the write lock before reading, so two first runs into a
+            # new campaign cannot both miss it and both insert it.
+            self._db.execute("BEGIN IMMEDIATE")
+            self._db.execute(
+                "INSERT OR IGNORE INTO campaigns (name) VALUES (?)", (campaign,)
+            )
+            (campaign_id,) = self._db.execute(
                 "SELECT id FROM campaigns WHERE name = ?", (campaign,)
             ).fetchone()
-            if row is None:
-                campaign_id = self._db.execute(
-                    "INSERT INTO campaigns (name) VALUES (?)", (campaign,)
-                ).lastrowid
-            else:
-                campaign_id = row[0]
+            # The fingerprint is filled in once the rows have streamed in.
             run_id = self._db.execute(
                 "INSERT INTO runs (campaign_id, started_at, wall_seconds,"
                 " executor, engine, engine_version, batch_size, jobs,"
                 " shards_total, shards_computed, shards_cached, retries,"
                 " failures, fingerprint, metrics_json)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, '', ?)",
                 (
                     campaign_id, now, wall_seconds, executor, engine,
                     engine_version, batch_size, jobs, len(shards),
                     shards_computed, shards_cached, retries, failures,
-                    fingerprint,
                     _result_json(metrics) if metrics is not None else None,
                 ),
             ).lastrowid
-            for slot, (shard, result) in enumerate(zip(shards, results)):
-                key = cache_keys[slot] if cache_keys is not None else None
-                if is_error_record(result):
-                    result_json = None
-                    error_json = _result_json(result[SHARD_ERROR_KEY])
-                else:
-                    result_json = _result_json(result)
-                    error_json = None
-                self._db.execute(
-                    "INSERT INTO shard_results (run_id, shard_index, seed,"
-                    " params_json, result_json, error_json, cache_key)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        run_id, shard.index, shard.seed,
-                        canonical_json(shard.params), result_json, error_json,
-                        key,
-                    ),
-                )
-            for prefix_json, digest in (digests or {}).items():
-                self._db.execute(
-                    "INSERT INTO checkpoints (run_id, prefix_json, digest)"
-                    " VALUES (?, ?, ?)",
-                    (run_id, prefix_json, digest),
-                )
+            self._db.executemany(
+                "INSERT INTO shard_results (run_id, shard_index, seed,"
+                " params_json, result_json, error_json, cache_key)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?)",
+                (
+                    (run_id, shard.index, shard.seed, params_json, result_json,
+                     error_json, cache_keys[slot] if cache_keys is not None else None)
+                    for slot, (shard, params_json, result_json, error_json)
+                    in enumerate(_encoded_rows(shards, results, material))
+                ),
+            )
+            self._db.execute(
+                "UPDATE runs SET fingerprint = ? WHERE id = ?",
+                (material.hexdigest(), run_id),
+            )
+            self._db.executemany(
+                "INSERT INTO checkpoints (run_id, prefix_json, digest)"
+                " VALUES (?, ?, ?)",
+                ((run_id, prefix_json, digest)
+                 for prefix_json, digest in (digests or {}).items()),
+            )
         return run_id
 
     def record_artifact(

@@ -8,6 +8,8 @@ Each is tested here both in isolation and through a real sweep.
 """
 
 import dataclasses
+import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -100,7 +102,7 @@ class TestRunShards:
         cache.put(key, {"ber": float("nan")})
         assert cache.rejected == 1
         assert cache.get(key) is None
-        assert list(tmp_path.rglob("*.json")) == []
+        assert ResultCache(tmp_path).get(key) is None
 
     def test_finite_payload_unaffected_by_rejection_path(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -155,27 +157,19 @@ class TestSweepThroughRunner:
 
 
 class TestCacheHygiene:
-    def test_clear_sweeps_orphaned_tmp_files(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = cache.key(tag="t", x=1)
-        cache.put(key, {"x": 1})
-        # A writer that crashed between write and rename leaves this behind.
-        orphan = tmp_path / key[:2] / f"{key}.tmp.99999"
-        orphan.write_text("partial")
-        assert cache.clear() == 2
-        assert not orphan.exists()
-        assert cache.get(key) is None
-
     def test_corrupt_entry_evicted_and_counted(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = cache.key(tag="t", x=2)
         cache.put(key, {"x": 2})
-        path = tmp_path / key[:2] / f"{key}.json"
-        path.write_text("{torn write")
+        with closing(sqlite3.connect(cache.path)) as db, db:
+            db.execute("UPDATE entries SET payload = '{torn write' WHERE key = ?",
+                       (key,))
         assert cache.get(key) is None
         assert cache.corrupt == 1
         assert cache.misses == 1
-        assert not path.exists()  # evicted, not left to re-fail
+        with closing(sqlite3.connect(cache.path)) as db:
+            # Evicted, not left to re-fail.
+            assert db.execute("SELECT COUNT(*) FROM entries").fetchone() == (0,)
         # The recompute-and-put path repairs the entry.
         cache.put(key, {"x": 2})
         assert cache.get(key) == {"x": 2}

@@ -7,7 +7,10 @@ failing with ``database is locked``, and readers never block writers.
 """
 
 import multiprocessing
+import queue
 import sqlite3
+import sys
+import threading
 
 from repro.runner import make_shards
 from repro.store import CampaignStore
@@ -38,6 +41,87 @@ def _write_runs(store_path, writer, barrier, out):
         out.put((writer, ids))
     finally:
         store.close()
+
+
+RACERS = 4
+
+
+def _first_run(store_path, racer, barrier, out):
+    """Record one run into a campaign nobody has created yet."""
+    shards = make_shards(racer, [{"x": 0}])
+    store = CampaignStore(store_path)
+    try:
+        barrier.wait(timeout=60)
+        try:
+            out.put(store.record_run(
+                "race/fresh", shards, [{"x": racer}],
+                executor="test", engine=None, engine_version="test-0",
+            ))
+        except sqlite3.Error as error:
+            out.put(repr(error))
+    finally:
+        store.close()
+
+
+def _assert_one_campaign_holds(store_path, run_ids):
+    assert all(isinstance(run_id, int) for run_id in run_ids), run_ids
+    assert len(set(run_ids)) == RACERS
+    store = CampaignStore(store_path)
+    try:
+        assert [c.runs for c in store.campaigns()] == [RACERS]
+        assert sorted(r.id for r in store.runs("race/fresh")) == sorted(run_ids)
+    finally:
+        store.close()
+
+
+class TestFreshCampaignRace:
+    """Concurrent first runs into one new campaign all land in it.
+
+    The campaign upsert once read, then inserted: two racers could both
+    miss the name and the loser failed on its UNIQUE constraint.
+    """
+
+    def test_threads(self, tmp_path):
+        store_path = str(tmp_path / "race.sqlite")
+        CampaignStore(store_path).close()
+        barrier = threading.Barrier(RACERS)
+        out = queue.Queue()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            racers = [
+                threading.Thread(target=_first_run,
+                                 args=(store_path, r, barrier, out))
+                for r in range(RACERS)
+            ]
+            for thread in racers:
+                thread.start()
+            for thread in racers:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        _assert_one_campaign_holds(
+            store_path, [out.get_nowait() for _ in range(RACERS)]
+        )
+
+    def test_processes(self, tmp_path):
+        store_path = str(tmp_path / "race.sqlite")
+        CampaignStore(store_path).close()
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(RACERS)
+        out = ctx.Queue()
+        racers = [
+            ctx.Process(target=_first_run, args=(store_path, r, barrier, out))
+            for r in range(RACERS)
+        ]
+        for proc in racers:
+            proc.start()
+        run_ids = [out.get(timeout=120) for _ in racers]
+        for proc in racers:
+            proc.join(timeout=30)
+            assert proc.exitcode == 0
+        _assert_one_campaign_holds(store_path, run_ids)
 
 
 class TestConcurrentWriters:
