@@ -66,8 +66,8 @@ def runner_summary(registry) -> str:
     """One-line sweep-runner summary from a run's obs counters.
 
     The sweep commands print this under their result tables so cache
-    effectiveness and pool utilization are visible without a profiler.
-    ``registry`` is any :class:`repro.obs.MetricsRegistry`.
+    effectiveness and pool utilization are visible without a profiler, and
+    a sweep whose campaign-store write failed says so.  ``registry`` is any :class:`repro.obs.MetricsRegistry`.
     """
     total = registry.counter("runner.shards.total").value
     cached = registry.counter("runner.shards.cached").value
@@ -78,6 +78,7 @@ def runner_summary(registry) -> str:
     jobs = int(registry.gauge("runner.pool.jobs").value) or 1
     utilization = registry.gauge("runner.pool.utilization").value
     seconds = registry.histogram("runner.shard.seconds")
+    store_errors = registry.counter("runner.store.errors").value
     parts = [
         f"[runner] {total} shard(s): {cached} cached, {computed} computed"
         + (f" ({corrupt} corrupt entries evicted)" if corrupt else "")
@@ -87,6 +88,8 @@ def runner_summary(registry) -> str:
     if computed:
         parts.append(f"mean {seconds.mean:.2f}s/shard")
         parts.append(f"pool {utilization:.0%} busy over {jobs} job(s)")
+    if store_errors:
+        parts.append(f"store write failed, run not recorded ({store_errors})")
     return "; ".join(parts)
 
 

@@ -3,7 +3,7 @@
 Everything in this module reads **only** the sqlite campaign store
 (:class:`repro.store.CampaignStore`) — no machine is ever built, no trace
 replayed.  That is the point: once a sweep has run (and been ingested by
-the executors in :mod:`repro.runner`), its tables are queryable history,
+:func:`repro.runner.run_shards`), its tables are queryable history,
 and ``python -m repro report`` can regenerate the paper-shaped tables —
 Figure 2's per-position eviction fractions, Figure 8's capacity curves,
 Table II's peaks — plus a perf trajectory over the recorded benchmark

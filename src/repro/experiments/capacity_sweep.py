@@ -23,7 +23,6 @@ from ..runner import (
     is_error_record,
     make_shards,
     run_shards,
-    run_warm_shards,
 )
 from ..engine import resolve_backend
 from ..sim.machine import Machine
@@ -201,20 +200,13 @@ def run_capacity_sweep(
     ])
     if campaign is None:
         campaign = f"capacity_sweep/{channel}/{probe.config.name}"
-    if warm_start:
-        rows = run_warm_shards(
-            _CAPACITY_PLAN, shards, jobs=jobs,
-            cache=result_cache, cache_tag="capacity_sweep/v1",
-            metrics=metrics, trace=trace, faults=faults, retries=retries,
-            store=store, campaign=campaign, runtime=runtime,
-        )
-    else:
-        rows = run_shards(
-            _capacity_point_worker, shards, jobs=jobs,
-            cache=result_cache, cache_tag="capacity_sweep/v1",
-            metrics=metrics, trace=trace, faults=faults, retries=retries,
-            store=store, campaign=campaign, runtime=runtime,
-        )
+    rows = run_shards(
+        _CAPACITY_PLAN if warm_start else _capacity_point_worker,
+        shards, jobs=jobs,
+        cache=result_cache, cache_tag="capacity_sweep/v1",
+        metrics=metrics, trace=trace, faults=faults, retries=retries,
+        store=store, campaign=campaign, runtime=runtime,
+    )
     result = CapacitySweepResult(channel=channel, platform=probe.config.name)
     result.points.extend(
         CapacityPoint(**row) for row in rows if not is_error_record(row)

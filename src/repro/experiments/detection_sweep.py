@@ -24,7 +24,6 @@ from ..runner import (
     is_error_record,
     make_shards,
     run_shards,
-    run_warm_shards,
 )
 from ..engine import resolve_backend
 from ..sim.machine import Machine
@@ -157,20 +156,13 @@ def run_detection_sweep(
         for name in _ATTACKS
         for period in periods
     ])
-    if warm_start:
-        rows = run_warm_shards(
-            _DETECTION_PLAN, shards, jobs=jobs,
-            cache=result_cache, cache_tag="detection_sweep/v1",
-            metrics=metrics, trace=trace, faults=faults, retries=retries,
-            store=store, campaign=campaign, runtime=runtime,
-        )
-    else:
-        rows = run_shards(
-            _detection_point_worker, shards, jobs=jobs,
-            cache=result_cache, cache_tag="detection_sweep/v1",
-            metrics=metrics, trace=trace, faults=faults, retries=retries,
-            store=store, campaign=campaign, runtime=runtime,
-        )
+    rows = run_shards(
+        _DETECTION_PLAN if warm_start else _detection_point_worker,
+        shards, jobs=jobs,
+        cache=result_cache, cache_tag="detection_sweep/v1",
+        metrics=metrics, trace=trace, faults=faults, retries=retries,
+        store=store, campaign=campaign, runtime=runtime,
+    )
     rows = [row for row in rows if not is_error_record(row)]
     result = DetectionSweepResult()
     for name in _ATTACKS:

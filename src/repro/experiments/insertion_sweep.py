@@ -19,7 +19,7 @@ the prefetched line is the set's eviction candidate regardless of ``a``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import random
 from typing import Dict, List, Optional, Sequence
 
@@ -33,8 +33,7 @@ from ..runner import (
     WarmStartPlan,
     is_error_record,
     make_shards,
-    run_batch_shards,
-    run_warm_shards,
+    run_shards,
 )
 from ..sim.machine import Machine
 
@@ -189,10 +188,10 @@ def run_insertion_sweep(
 ) -> InsertionSweepResult:
     """Sweep insertion positions × trials, batching trials when possible.
 
-    ``engine="batch"`` routes the whole sweep through
-    :func:`~repro.runner.run_batch_shards` — per prefix group, one
+    ``engine="batch"`` runs the whole sweep as a
+    :class:`~repro.runner.TraceBatchPlan` — per prefix group, one
     checkpoint restore broadcast across up to ``batch_size`` trials; any
-    other engine runs the scalar warm-start path with the trace replayed
+    other engine runs the scalar warm-start plan with the trace replayed
     under that backend.  Both paths produce bit-identical shard results
     (and therefore interchangeable sweeps), which
     ``tests/runner/test_batchexec.py`` pins.
@@ -216,17 +215,16 @@ def run_insertion_sweep(
         # The engine is deliberately absent: every backend produces
         # bit-identical rows, so their runs belong to one history.
         campaign = f"insertion_sweep/{probe.config.name}"
-    common = dict(
-        jobs=jobs, cache=result_cache, cache_tag="insertion_sweep/v1",
+    plan = (
+        replace(BATCH_PLAN, batch_size=batch_size) if engine == "batch"
+        else SCALAR_PLAN
+    )
+    rows = run_shards(
+        plan, shards, jobs=jobs, cache=result_cache,
+        cache_tag="insertion_sweep/v1",
         metrics=metrics, trace=trace, faults=faults, retries=retries,
         store=store, campaign=campaign, runtime=runtime,
     )
-    if engine == "batch":
-        rows = run_batch_shards(
-            BATCH_PLAN, shards, batch_size=batch_size, **common
-        )
-    else:
-        rows = run_warm_shards(SCALAR_PLAN, shards, **common)
 
     result = InsertionSweepResult(platform=probe.config.name, engine=engine)
     evicted: Dict[int, List[bool]] = {}

@@ -26,7 +26,6 @@ from ..runner import (
     is_error_record,
     make_shards,
     run_shards,
-    run_warm_shards,
 )
 from ..engine import resolve_backend
 from ..sim.machine import Machine
@@ -182,20 +181,13 @@ def run_noise_sweep(
         for name, kind, kwargs, interval in VARIANTS
         for bias in biases
     ])
-    if warm_start:
-        rows = run_warm_shards(
-            _NOISE_PLAN, shards, jobs=jobs,
-            cache=result_cache, cache_tag="noise_sweep/v1",
-            metrics=metrics, trace=trace, faults=faults, retries=retries,
-            store=store, campaign=campaign, runtime=runtime,
-        )
-    else:
-        rows = run_shards(
-            _noise_point_worker, shards, jobs=jobs,
-            cache=result_cache, cache_tag="noise_sweep/v1",
-            metrics=metrics, trace=trace, faults=faults, retries=retries,
-            store=store, campaign=campaign, runtime=runtime,
-        )
+    rows = run_shards(
+        _NOISE_PLAN if warm_start else _noise_point_worker,
+        shards, jobs=jobs,
+        cache=result_cache, cache_tag="noise_sweep/v1",
+        metrics=metrics, trace=trace, faults=faults, retries=retries,
+        store=store, campaign=campaign, runtime=runtime,
+    )
     rows = [row for row in rows if not is_error_record(row)]
     result = NoiseSweepResult()
     for name, _, _, _ in VARIANTS:

@@ -5,6 +5,10 @@ comparison) decomposes into independent points; this package runs those
 points serially or across a process pool with **bit-identical output**, and
 memoizes each point's result on disk keyed by the full content of the
 computation (engine version + platform config + parameters + seeds).
+:func:`run_shards` is the only sweep entry point: it takes a plain worker,
+a :class:`WarmStartPlan` (shared setup prefix checkpointed once), or a
+:class:`TraceBatchPlan` (trials batched through one array program, up to
+the plan's ``batch_size`` per chunk).
 
 Typical wiring, from an experiment module::
 
@@ -17,9 +21,15 @@ Typical wiring, from an experiment module::
     shards = make_shards(root_seed, [{...} for point in grid])
     rows = run_shards(_point_worker, shards, jobs=jobs, cache=cache,
                       cache_tag="my_sweep/v1")
+
+    # or, with the machine build and warm-up shared per prefix:
+    plan = WarmStartPlan(setup=_setup, body=_body,
+                         prefix_keys=("config", "machine_seed"))
+    rows = run_shards(plan, shards, jobs=jobs, cache=cache,
+                      cache_tag="my_sweep/v1")
 """
 
-from .batchexec import TraceBatchPlan, run_batch_shards
+from .batchexec import TraceBatchPlan
 from .cache import CACHE_DIR_ENV, ResultCache, default_cache_root
 from .pool import (
     BACKOFF_CAP_SECONDS,
@@ -43,14 +53,12 @@ from .shard import (
     make_content_shards,
     make_shards,
 )
-from .warmstart import WarmStartPlan, clear_warm_states, run_warm_shards
+from .warmstart import WarmStartPlan, clear_warm_states
 
 __all__ = [
     "TraceBatchPlan",
-    "run_batch_shards",
     "WarmStartPlan",
     "clear_warm_states",
-    "run_warm_shards",
     "FRESH",
     "RUNTIME_ENV",
     "Runtime",

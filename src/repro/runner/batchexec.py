@@ -1,37 +1,30 @@
-"""Batched shard execution: one array program per warm-start group.
+"""Batched trials: one array program per warm-start chunk.
 
-:func:`~repro.runner.warmstart.run_warm_shards` made the *setup prefix*
-cheap; the trial bodies still execute one machine at a time.  For the
+A :class:`~repro.runner.warmstart.WarmStartPlan` makes the *setup prefix*
+cheap; its trial bodies still execute one machine at a time.  For the
 dominant sweep shape — every trial in a prefix group replays a trace on a
-restored checkpoint and reduces the recorded results — this module runs
-the whole group through the trial-batched engine
-(:mod:`repro.engine.batch`): **one** checkpoint restore broadcast across
-the trial axis, one merged program, per-trial results extracted and
-reduced individually.
+restored checkpoint and reduces the recorded results — a
+:class:`TraceBatchPlan` splits the body into a pure trace builder and a
+result reducer, so :func:`~repro.runner.pool.run_shards` can run a whole
+chunk of trials through the trial-batched engine (:mod:`repro.engine.batch`)
+with :func:`run_batched`: **one** checkpoint restore broadcast across the
+trial axis, one merged program, per-trial results extracted and reduced
+individually.
 
-A :class:`TraceBatchPlan` is the batched analog of a
-:class:`~repro.runner.warmstart.WarmStartPlan`, with the body split into a
-pure trace builder and a result reducer so the executor can see — and
-batch — the trace replay between them.  Everything else about the runner
-contract is preserved bit-for-bit:
+Everything else about the runner contract is preserved bit-for-bit:
 
-* results merge in shard order at any ``jobs`` value;
 * each trial's result is keyed *individually* in the content-addressed
   :class:`~repro.runner.cache.ResultCache` (checkpoint digest and engine
   name included), so batched, warm-scalar, and parallel runs interoperate
   through the cache;
-* deterministic fault injection and bounded retry compose unchanged —
-  fault decisions key on ``(shard.index, attempt)`` exactly as in
-  :func:`~repro.runner.pool.run_shards`, an injected shard is pulled out
-  of its batch and retried scalar (a retried trial is a one-trial batch,
-  which the differential suite pins as bit-identical), and exhausted
-  shards yield error records in their merge slots;
-* ``jobs > 1`` delegates to the process pool with a scalar one-trial
-  worker — process isolation already parallelizes across trials, so the
-  trial axis adds nothing there, and the cache keys stay identical;
-* with a campaign store configured, the merged run is recorded once (as
-  executor ``"batch"`` with its batch width and checkpoint digests) on
-  either path — see :mod:`repro.store.ingest`.
+* fault decisions key on ``(shard.index, attempt)`` exactly as for any
+  other work; a shard whose fault, trace builder, or reducer raises is
+  pulled out of its batch and retried scalar from attempt 1 (a retried
+  trial is a one-trial batch, which the differential suite pins as
+  bit-identical);
+* ``jobs > 1`` runs the pool with a scalar one-trial worker — process
+  isolation already parallelizes across trials, so the trial axis adds
+  nothing there, and the cache keys stay identical.
 """
 
 from __future__ import annotations
@@ -43,22 +36,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..engine import run_trace_batch
 from ..errors import ReproError
 from ..faults import FaultPlan, ShardFaultInjector
-from ..obs import EventTrace, MetricsRegistry, NULL_TRACE, get_registry
-from .cache import ResultCache
-from .pool import (
-    _SHARD_SECONDS_BUCKETS,
-    BACKOFF_CAP_SECONDS,
-    SHARD_ERROR_KEY,
-    _cache_key,
-    backoff_seconds,
-    run_shards,
-)
-from .shard import Shard, canonical_json
-from .warmstart import _PREFIX_SECONDS_BUCKETS, _memo_key, _memo_put, _warm_state
-
-#: ``setup(prefix_params) -> (machine, context)``: build a machine and run
-#: the shared prefix.  Same contract as :class:`WarmStartPlan.setup`.
-Setup = Callable[[Dict[str, Any]], Tuple[Any, Any]]
+from ..obs import MetricsRegistry
+from .shard import Shard
+from .warmstart import PrefixPlan, Setup
 
 #: ``make_trace(machine, context, shard) -> ops``: build the shard's trace
 #: (a list of ``(op, core, addr)`` tuples).  MUST be read-only on the
@@ -76,284 +56,87 @@ Reduce = Callable[[Any, Any, Shard, list], Dict[str, Any]]
 
 
 @dataclass(frozen=True)
-class TraceBatchPlan:
+class TraceBatchPlan(PrefixPlan):
     """A sweep trial split into prefix setup, trace builder, and reducer.
 
-    ``prefix_keys`` names the shard params feeding ``setup``; shards that
-    agree on them share one machine build, one checkpoint, and — under
-    :func:`run_batch_shards` with ``jobs <= 1`` — one batched array
-    program.
+    Shards that agree on the ``prefix_keys`` params share one machine
+    build, one checkpoint, and — inline (``jobs <= 1``) — one batched
+    array program per chunk of at most ``batch_size`` trials.  The chunk
+    width caps memory for recorded results and divergence bookkeeping; it
+    never changes a result.
     """
 
     setup: Setup
     make_trace: MakeTrace
     reduce: Reduce
     prefix_keys: Tuple[str, ...]
+    batch_size: int = 64
 
-    def prefix_of(self, shard: Shard) -> Dict[str, Any]:
-        """The shard's prefix params (the setup's input)."""
-        try:
-            return {key: shard.params[key] for key in self.prefix_keys}
-        except KeyError as missing:
-            raise ReproError(
-                f"shard {shard.index} is missing prefix param {missing} "
-                f"(plan expects {self.prefix_keys})"
-            ) from None
+    executor = "batch"
+    restores_per_trial = 2
 
-    def identity(self) -> str:
-        """Stable name for cache keys and memo keys."""
-        return f"{self.make_trace.__module__}.{self.make_trace.__qualname__}"
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ReproError(f"batch_size must be >= 1, got {self.batch_size}")
 
+    def _named(self):
+        return self.make_trace
 
-class _BatchTrialWorker:
-    """Picklable scalar worker: one shard as a one-trial batch.
+    def engine_of(self, shard: Shard) -> str:
+        """Always ``batch``: cached rows are never replayed across engines
+        silently — equality is proven by tests, not smuggled through the
+        cache."""
+        return "batch"
 
-    Used for the ``jobs > 1`` pool path and for scalar retries of shards
-    pulled out of a batch; bit-identity between a T-trial batch and T
-    one-trial batches is what makes the two paths interchangeable.
-    """
-
-    def __init__(self, plan: TraceBatchPlan, digests: Dict[str, str]):
-        self.plan = plan
-        self.digests = digests
-        self.cache_identity = plan.identity()
-
-    def cache_components(self, shard: Shard) -> Dict[str, Any]:
-        """Extra cache-key components: prefix checkpoint digest + engine.
-
-        The engine name is pinned to ``batch`` so cached rows are never
-        replayed across engines silently — the backends are proven
-        bit-identical by the differential suites, but a cache hit must not
-        be the mechanism enforcing that.
-        """
-        return {
-            "checkpoint": self.digests[canonical_json(self.plan.prefix_of(shard))],
-            "engine": "batch",
-        }
-
-    def _state(self, shard: Shard) -> tuple:
-        plan = self.plan
-        prefix = plan.prefix_of(shard)
-        prefix_json = canonical_json(prefix)
-        memo_key = _memo_key(plan.identity(), prefix_json, self.digests[prefix_json])
-        return _warm_state(_AsWarmPlan(plan), prefix, memo_key)
-
-    def __call__(self, shard: Shard) -> Dict[str, Any]:
-        plan = self.plan
-        machine, context, checkpoint = self._state(shard)
+    def run_trial(self, machine, context, checkpoint, shard: Shard) -> Dict[str, Any]:
+        """One shard as a one-trial batch."""
         machine.restore(checkpoint)
-        trace = plan.make_trace(machine, context, shard)
+        trace = self.make_trace(machine, context, shard)
         result = run_trace_batch(machine, [trace], record=True)
         machine.restore(checkpoint)
         result.apply(0)
-        return plan.reduce(machine, context, shard, result.results(0))
+        return self.reduce(machine, context, shard, result.results(0))
 
 
-class _AsWarmPlan:
-    """Duck-typed shim giving :func:`_warm_state` a ``setup`` to call."""
-
-    def __init__(self, plan: TraceBatchPlan):
-        self.setup = plan.setup
-
-
-def run_batch_shards(
+def run_batched(
     plan: TraceBatchPlan,
-    shards: Sequence[Shard],
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    cache_tag: Optional[str] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    trace: Optional[EventTrace] = None,
-    faults: Optional[FaultPlan] = None,
-    retries: int = 0,
-    backoff_base: float = 0.0,
-    backoff_cap: float = BACKOFF_CAP_SECONDS,
-    on_error: Optional[str] = None,
-    batch_size: int = 64,
-    store=None,
-    campaign: Optional[str] = None,
-    runtime=None,
-) -> List[Dict[str, Any]]:
-    """Run ``shards`` through ``plan``, batching trials per prefix group.
+    pending: List[Shard],
+    prefix_jsons: List[str],
+    states: Dict[str, tuple],
+    faults: Optional[FaultPlan],
+    retry: Callable[[Shard, Exception], tuple],
+    registry: MetricsRegistry,
+    trace,
+) -> Tuple[List[tuple], int]:
+    """Outcomes for ``pending`` (in order) and the checkpoint restores spent.
 
-    The semantics — merge order, caching, fault injection, retries, error
-    records, metrics — mirror :func:`~repro.runner.pool.run_shards` /
-    :func:`~repro.runner.warmstart.run_warm_shards` exactly; only the
-    execution strategy differs.  ``batch_size`` caps how many trials join
-    one array program (memory for recorded results grows with the trial
-    count; divergence bookkeeping grows with trial count × diverged sets).
-
-    ``jobs > 1`` falls back to the process pool with a scalar one-trial
-    worker: identical results, identical cache keys, and the pool already
-    parallelizes across trials.
+    ``prefix_jsons`` names each pending shard's prefix state in
+    ``states``.  Per prefix group, each chunk of at most ``plan.batch_size``
+    trials costs one restore and one ``run_trace_batch``, then one restore
+    per trial to apply and reduce it.  Faults fire before any work, keyed
+    ``(index, 0)``.  A shard that fails in its batch is handed to
+    ``retry(shard, error)`` once every batch has run.
     """
-    if jobs < 0:
-        raise ReproError(f"jobs must be >= 0, got {jobs}")
-    if retries < 0:
-        raise ReproError(f"retries must be >= 0, got {retries}")
-    if backoff_base < 0:
-        raise ReproError(f"backoff_base must be >= 0, got {backoff_base}")
-    if backoff_cap < 0:
-        raise ReproError(f"backoff_cap must be >= 0, got {backoff_cap}")
-    if batch_size < 1:
-        raise ReproError(f"batch_size must be >= 1, got {batch_size}")
-    if on_error is None:
-        on_error = "record" if (faults is not None or retries > 0) else "raise"
-    if on_error not in ("record", "raise"):
-        raise ReproError(f"on_error must be 'record' or 'raise', got {on_error!r}")
-    registry = metrics if metrics is not None else get_registry()
-    event_trace = trace if trace is not None else NULL_TRACE
-    wall_start = time.perf_counter()
-    shards = list(shards)
-
-    # Group shards by canonical prefix (insertion order = shard order).
-    groups: Dict[str, Dict[str, Any]] = {}
-    group_members: Dict[str, List[Shard]] = {}
-    for shard in shards:
-        prefix = plan.prefix_of(shard)
-        prefix_json = canonical_json(prefix)
-        groups.setdefault(prefix_json, prefix)
-        group_members.setdefault(prefix_json, []).append(shard)
-
-    # Build each prefix once in the parent (seeding the warm-state memo —
-    # forked pool children inherit it) and record checkpoint digests for
-    # the cache keys.  Same accounting as run_warm_shards.
-    states: Dict[str, tuple] = {}
-    digests: Dict[str, str] = {}
-    capture_seconds = registry.histogram(
-        "runner.checkpoint.capture.seconds", _PREFIX_SECONDS_BUCKETS
-    )
-    saved_seconds = 0.0
-    for prefix_json, prefix in groups.items():
-        start = time.perf_counter()
-        machine, context = plan.setup(prefix)
-        checkpoint = machine.checkpoint()
-        elapsed = time.perf_counter() - start
-        digest = digests[prefix_json] = checkpoint.digest()
-        state = states[prefix_json] = (machine, context, checkpoint)
-        _memo_put(_memo_key(plan.identity(), prefix_json, digest), state)
-        registry.counter("runner.checkpoint.captures").inc()
-        registry.counter("runner.checkpoint.bytes").inc(checkpoint.approx_bytes)
-        capture_seconds.observe(elapsed)
-        saved_seconds += elapsed * (len(group_members[prefix_json]) - 1)
-        if event_trace is not NULL_TRACE:
-            event_trace.emit(
-                "runner.checkpoint.capture",
-                prefix=prefix_json,
-                digest=digest,
-                seconds=elapsed,
-                trials=len(group_members[prefix_json]),
-            )
-    registry.gauge("runner.checkpoint.saved_seconds").set(saved_seconds)
-
-    worker = _BatchTrialWorker(plan, digests)
-    if jobs > 1:
-        computed_before = registry.counter("runner.shards.computed").value
-        results = run_shards(
-            worker,
-            shards,
-            jobs=jobs,
-            runtime=runtime,
-            cache=cache,
-            cache_tag=cache_tag,
-            metrics=registry,
-            trace=trace,
-            faults=faults,
-            retries=retries,
-            backoff_base=backoff_base,
-            backoff_cap=backoff_cap,
-            on_error=on_error,
-            store=store,
-            campaign=campaign,
-            _ingest={
-                "executor": "batch",
-                "digests": dict(digests),
-                "batch_size": batch_size,
-            },
-        )
-        computed = registry.counter("runner.shards.computed").value - computed_before
-        registry.counter("runner.checkpoint.restores").inc(computed * 2)
-        return results
-
-    # -- inline batched path ----------------------------------------------
-
-    results: List[Optional[Dict[str, Any]]] = [None] * len(shards)
-    slot_of: Dict[int, int] = {}
-    for slot, shard in enumerate(shards):
-        duplicate = slot_of.get(shard.index)
-        if duplicate is not None:
-            raise ReproError(
-                f"duplicate shard index {shard.index} (positions {duplicate} "
-                f"and {slot}): indices must be unique for a stable merge"
-            )
-        slot_of[shard.index] = slot
-
-    keys: Dict[int, str] = {}
-    cache_counts_before = (
-        (cache.hits, cache.misses, cache.corrupt) if cache is not None else (0, 0, 0)
-    )
-    pending_by_prefix: Dict[str, List[Shard]] = {}
-    n_pending = 0
-    for prefix_json, members in group_members.items():
-        for shard in members:
-            if cache is not None:
-                key = keys[slot_of[shard.index]] = _cache_key(
-                    cache, worker, cache_tag, shard
-                )
-                hit = cache.get(key)
-                if hit is not None:
-                    results[slot_of[shard.index]] = hit
-                    event_trace.emit("runner.cache.hit", shard=shard.index, key=key)
-                    continue
-                event_trace.emit("runner.cache.miss", shard=shard.index, key=key)
-            pending_by_prefix.setdefault(prefix_json, []).append(shard)
-            n_pending += 1
-
     injector = ShardFaultInjector(faults) if faults is not None else None
-    shard_seconds = registry.histogram("runner.shard.seconds", _SHARD_SECONDS_BUCKETS)
-    busy_seconds = 0.0
-    retried_attempts = 0
-    failed_shards = 0
-    restores = 0
-    n_batches = 0
-    n_batched_trials = 0
-    #: (shard, first failure record) for shards pulled out of their batch.
-    retry_queue: List[Tuple[Shard, Dict[str, Any]]] = []
-
-    def record_success(shard: Shard, result: Dict[str, Any], elapsed: float) -> None:
-        nonlocal busy_seconds
-        slot = slot_of[shard.index]
-        results[slot] = result
-        if cache is not None:
-            cache.put(keys[slot], result)
-        event_trace.emit("runner.shard", shard=shard.index, seconds=elapsed)
-        busy_seconds += elapsed
-        shard_seconds.observe(elapsed)
-
-    def failure_record(shard: Shard, error: Exception, attempts: int) -> Dict[str, Any]:
-        return {
-            "shard": shard.index,
-            "error": type(error).__name__,
-            "message": str(error),
-            "attempts": attempts,
-        }
-
-    for prefix_json, members in pending_by_prefix.items():
+    groups: Dict[str, List[Shard]] = {}
+    for shard, prefix_json in zip(pending, prefix_jsons):
+        groups.setdefault(prefix_json, []).append(shard)
+    outcomes: Dict[int, tuple] = {}
+    pulled: List[Tuple[Shard, Exception]] = []
+    restores = batches = trials = 0
+    for prefix_json, members in groups.items():
         machine, context, checkpoint = states[prefix_json]
-        for chunk_start in range(0, len(members), batch_size):
-            chunk = members[chunk_start : chunk_start + batch_size]
+        for first in range(0, len(members), plan.batch_size):
             batch_start = time.perf_counter()
-            # Fault decisions fire before any work, keyed (index, attempt=0)
-            # — identical to _attempt_shard at any jobs value.
             ready: List[Shard] = []
-            for shard in chunk:
-                if injector is not None:
-                    try:
+            for shard in members[first : first + plan.batch_size]:
+                try:
+                    if injector is not None:
                         injector.check(shard.index, 0)
-                    except Exception as error:
-                        retry_queue.append((shard, failure_record(shard, error, 1)))
-                        continue
-                ready.append(shard)
+                except Exception as error:
+                    pulled.append((shard, error))
+                else:
+                    ready.append(shard)
             if not ready:
                 continue
             machine.restore(checkpoint)
@@ -364,14 +147,14 @@ def run_batch_shards(
                 try:
                     traces.append(plan.make_trace(machine, context, shard))
                 except Exception as error:
-                    retry_queue.append((shard, failure_record(shard, error, 1)))
-                    continue
-                traced.append(shard)
+                    pulled.append((shard, error))
+                else:
+                    traced.append(shard)
             if not traced:
                 continue
             batch = run_trace_batch(machine, traces, record=True)
-            n_batches += 1
-            n_batched_trials += len(traced)
+            batches += 1
+            trials += len(traced)
             batch_elapsed = time.perf_counter() - batch_start
             share = batch_elapsed / len(traced)
             for t, shard in enumerate(traced):
@@ -382,112 +165,18 @@ def run_batch_shards(
                 try:
                     result = plan.reduce(machine, context, shard, batch.results(t))
                 except Exception as error:
-                    retry_queue.append((shard, failure_record(shard, error, 1)))
+                    pulled.append((shard, error))
                     continue
-                record_success(
-                    shard, result, share + time.perf_counter() - trial_start
-                )
-            event_trace.emit(
-                "runner.batch",
-                prefix=prefix_json,
-                trials=len(traced),
+                elapsed = share + time.perf_counter() - trial_start
+                outcomes[shard.index] = (result, None, elapsed, 1)
+            trace.emit(
+                "runner.batch", prefix=prefix_json, trials=len(traced),
                 seconds=batch_elapsed,
             )
-
-    # Scalar bounded retry for shards pulled out of their batch, with the
-    # same (index, attempt) fault keying and backoff as _attempt_shard.
-    for shard, first_failure in retry_queue:
-        start = time.perf_counter()
-        failure: Optional[Dict[str, Any]] = first_failure
-        attempts = 1
-        for attempt in range(1, retries + 1):
-            delay = backoff_seconds(backoff_base, attempt, backoff_cap)
-            if delay:
-                time.sleep(delay)
-            attempts = attempt + 1
-            try:
-                if injector is not None:
-                    injector.check(shard.index, attempt)
-                result = worker(shard)
-            except Exception as error:
-                failure = failure_record(shard, error, attempts)
-                continue
-            restores += 2
-            failure = None
-            break
-        if attempts > 1:
-            retried_attempts += attempts - 1
-            event_trace.emit(
-                "runner.shard.retried",
-                shard=shard.index,
-                retries=attempts - 1,
-                recovered=failure is None,
-            )
-        if failure is not None:
-            if on_error == "raise":
-                raise ReproError(
-                    f"shard {shard.index} failed after {attempts} "
-                    f"attempt(s): {failure['error']}: {failure['message']}"
-                )
-            failed_shards += 1
-            results[slot_of[shard.index]] = {SHARD_ERROR_KEY: failure}
-            event_trace.emit(
-                "runner.shard.failed",
-                shard=shard.index,
-                attempts=attempts,
-                error=failure["error"],
-            )
-        else:
-            record_success(shard, result, time.perf_counter() - start)
-
-    registry.counter("runner.shards.total").inc(len(shards))
-    registry.counter("runner.shards.computed").inc(n_pending)
-    registry.counter("runner.shards.cached").inc(len(shards) - n_pending)
-    registry.counter("runner.retries").inc(retried_attempts)
-    registry.counter("runner.failures").inc(failed_shards)
-    registry.counter("runner.batch.batches").inc(n_batches)
-    registry.counter("runner.batch.trials").inc(n_batched_trials)
-    registry.counter("runner.checkpoint.restores").inc(restores)
-    if cache is not None:
-        registry.counter("runner.cache.hits").inc(cache.hits - cache_counts_before[0])
-        registry.counter("runner.cache.misses").inc(cache.misses - cache_counts_before[1])
-        registry.counter("runner.cache.corrupt").inc(cache.corrupt - cache_counts_before[2])
-    wall_seconds = time.perf_counter() - wall_start
-    registry.gauge("runner.pool.jobs").set(1)
-    if n_pending and wall_seconds > 0:
-        registry.gauge("runner.pool.utilization").set(busy_seconds / wall_seconds)
-    event_trace.emit(
-        "runner.sweep",
-        shards=len(shards),
-        computed=n_pending,
-        cached=len(shards) - n_pending,
-        retries=retried_attempts,
-        failures=failed_shards,
-        jobs=1,
-        wall_seconds=wall_seconds,
-        busy_seconds=busy_seconds,
-    )
-
-    from ..store.ingest import campaign_name, record_sweep
-
-    record_sweep(
-        store,
-        campaign if campaign is not None else campaign_name(cache_tag, plan.identity()),
-        shards,
-        results,
-        executor="batch",
-        batch_size=batch_size,
-        digests=dict(digests),
-        jobs=1,
-        shards_computed=n_pending,
-        shards_cached=len(shards) - n_pending,
-        retries=retried_attempts,
-        failures=failed_shards,
-        wall_seconds=wall_seconds,
-        registry=registry,
-        trace=event_trace,
-        cache_keys=(
-            [keys.get(slot) for slot in range(len(shards))] if cache is not None else None
-        ),
-    )
-    return results  # type: ignore[return-value]
+    for shard, error in pulled:
+        outcome = outcomes[shard.index] = retry(shard, error)
+        if outcome[1] is None:
+            restores += plan.restores_per_trial
+    registry.counter("runner.batch.batches").inc(batches)
+    registry.counter("runner.batch.trials").inc(trials)
+    return [outcomes[shard.index] for shard in pending], restores

@@ -1,7 +1,10 @@
 """Shard execution: serial or process-parallel, with identical output.
 
-:func:`run_shards` is the one entry point every sweep goes through.  It
-guarantees:
+:func:`run_shards` is the one entry point every sweep goes through.  Its
+work is a plain worker, a :class:`~repro.runner.warmstart.WarmStartPlan`
+(each distinct setup prefix run once, its checkpoint restored before every
+trial), or a :class:`~repro.runner.batchexec.TraceBatchPlan` (trials of a
+prefix run as one array program per chunk).  It guarantees:
 
 * **Stable merge order** — results come back in shard order regardless of
   ``jobs``, so a parallel sweep is bit-identical to a serial one.  Shard
@@ -11,9 +14,11 @@ guarantees:
   :class:`~repro.runner.shard.Shard` returning a JSON-compatible dict.  It
   must derive everything from the shard (workers run in forked processes
   where closure state would silently diverge).
+* **Inputs checked first** — bad arguments, duplicate indices, and shards
+  missing prefix params are rejected before any simulation runs.
 * **Transparent caching** — with a :class:`~repro.runner.cache.ResultCache`,
   known points are served from disk and only the misses are computed (and
-  then stored), in either execution mode.  Only successful results are
+  then stored), in every execution mode.  Only successful results are
   cached, and a shard that needed retries is cached exactly once.
 * **Graceful degradation** — with ``retries`` and/or a
   :class:`~repro.faults.FaultPlan`, each shard gets a bounded retry budget
@@ -23,14 +28,16 @@ guarantees:
   worker runs, so a recoverable chaos run merges bit-identically to a
   fault-free run.
 * **Accounted execution** — per-shard wall time, pool utilization, retry
-  and failure counts, and cache hit/miss/corrupt counts land in the run's
-  metrics registry (``runner.retries`` / ``runner.failures`` among them)
-  and (optionally) an :class:`~repro.obs.trace.EventTrace`, so sweep
-  summaries and ``--trace FILE`` cost nothing to support here.
+  and failure counts, checkpoint work, and cache hit/miss/corrupt/evicted
+  counts land in the run's metrics registry (``runner.retries`` /
+  ``runner.failures`` among them) and (optionally) an
+  :class:`~repro.obs.trace.EventTrace`, so sweep summaries and
+  ``--trace FILE`` cost nothing to support here.
 * **Durable history** — with a :class:`~repro.store.CampaignStore`
   (explicit ``store=``, the process default, or ``$REPRO_STORE``), the
-  merged run is recorded — shard params, results, cache keys, accounting,
-  and a metrics snapshot — as one campaign run, fail-soft (see
+  merged run is recorded once — shard params, results, cache keys,
+  accounting, executor label (``pool``/``warmstart``/``batch``), batch
+  width, checkpoint digests, and a metrics snapshot — fail-soft (see
   :mod:`repro.store.ingest`).
 """
 
@@ -39,16 +46,21 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ReproError
 from ..faults import FaultPlan, ShardFaultInjector
 from ..obs import EventTrace, MetricsRegistry, NULL_TRACE, get_registry
+from .batchexec import TraceBatchPlan, run_batched
 from .cache import ResultCache
 from .runtime import resolve_runtime
 from .shard import Shard
+from .warmstart import PlanWorker, PrefixPlan, WarmStartPlan, build_prefixes
 
 Worker = Callable[[Shard], Dict[str, Any]]
+
+#: What :func:`run_shards` runs: a plain worker or a prefix plan.
+Work = Union[Worker, WarmStartPlan, TraceBatchPlan]
 
 #: Shard wall-time histogram buckets (seconds).
 _SHARD_SECONDS_BUCKETS = (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0)
@@ -86,28 +98,48 @@ def backoff_seconds(
     return min(base * (2 ** (attempt - 1)), cap)
 
 
-def _cache_key(cache: ResultCache, worker: Worker, tag: Optional[str], shard: Shard) -> str:
+def _identity(work: Work) -> str:
+    """The name cache keys and default campaigns know ``work`` by.
+
+    A plan is named by its body (or trace builder); a plain worker by its
+    optional ``cache_identity`` attribute — required for callables without
+    a useful ``__qualname__``, e.g. class instances — else its dotted name.
+    """
+    if isinstance(work, PrefixPlan):
+        return work.identity()
+    identity = getattr(work, "cache_identity", None)
+    if identity is None:
+        identity = f"{work.__module__}.{work.__qualname__}"
+    return identity
+
+
+def _cache_key(
+    cache: ResultCache, work: Work, tag: Optional[str], shard: Shard,
+    digest: Optional[str] = None,
+) -> str:
     """Content key for one shard's result.
 
-    Workers may customise their identity with two optional attributes:
-    ``cache_identity`` (a string naming the computation — required for
-    callables without a useful ``__qualname__``, e.g. class instances) and
-    ``cache_components(shard)`` (extra key components, e.g. the warm-start
-    checkpoint digest, merged into the key).
+    A plan's shards add their prefix checkpoint ``digest`` and the engine
+    backend (:meth:`engine_of`) to the key.
     """
-    identity = getattr(worker, "cache_identity", None)
-    if identity is None:
-        identity = f"{worker.__module__}.{worker.__qualname__}"
     components: Dict[str, Any] = {
-        "worker": identity,
+        "worker": _identity(work),
         "tag": tag,
         "seed": shard.seed,
         "params": shard.params,
     }
-    extra = getattr(worker, "cache_components", None)
-    if extra is not None:
-        components.update(extra(shard))
+    if digest is not None:
+        components.update(checkpoint=digest, engine=work.engine_of(shard))
     return cache.key(**components)
+
+
+def _failure(shard: Shard, error: Exception, attempts: int) -> Dict[str, Any]:
+    return {
+        "shard": shard.index,
+        "error": type(error).__name__,
+        "message": str(error),
+        "attempts": attempts,
+    }
 
 
 def _timed_call(worker: Worker, shard: Shard) -> _Outcome:
@@ -124,17 +156,20 @@ def _attempt_shard(
     backoff_base: float,
     backoff_cap: float,
     shard: Shard,
+    first_error: Optional[Exception] = None,
 ) -> _Outcome:
     """Run ``worker`` with fault injection and bounded retry (pickles to pools).
 
     Fault decisions key on ``(shard.index, attempt)``, so they are identical
     in any process at any ``jobs`` value; the worker itself is only ever run
     clean, which keeps recovered results bit-identical to fault-free ones.
+    ``first_error`` is the failure of an attempt 0 made elsewhere (a shard
+    pulled out of a trial batch); attempts then resume at 1.
     """
     injector = ShardFaultInjector(faults) if faults is not None else None
     start = time.perf_counter()
-    failure: Optional[Dict[str, Any]] = None
-    for attempt in range(retries + 1):
+    failure = None if first_error is None else _failure(shard, first_error, 1)
+    for attempt in range(0 if first_error is None else 1, retries + 1):
         if attempt:
             delay = backoff_seconds(backoff_base, attempt, backoff_cap)
             if delay:
@@ -144,19 +179,14 @@ def _attempt_shard(
                 injector.check(shard.index, attempt)
             result = worker(shard)
         except Exception as error:
-            failure = {
-                "shard": shard.index,
-                "error": type(error).__name__,
-                "message": str(error),
-                "attempts": attempt + 1,
-            }
+            failure = _failure(shard, error, attempt + 1)
             continue
         return result, None, time.perf_counter() - start, attempt + 1
     return None, failure, time.perf_counter() - start, retries + 1
 
 
 def run_shards(
-    worker: Worker,
+    work: Work,
     shards: Sequence[Shard],
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
@@ -171,15 +201,21 @@ def run_shards(
     store=None,
     campaign: Optional[str] = None,
     runtime=None,
-    _ingest: Optional[Dict[str, Any]] = None,
 ) -> List[Dict[str, Any]]:
-    """Run ``worker`` over ``shards``; results merged in shard order.
+    """Run ``work`` over ``shards``; results merged in shard order.
 
-    ``jobs <= 1`` runs inline; ``jobs > 1`` fans the uncached shards out to
-    a ``ProcessPoolExecutor``.  ``cache_tag`` names the sweep family in
-    cache keys (bump it when a worker's *output format* changes without a
-    rename).  ``metrics`` defaults to the process registry (the null sink
-    unless one is installed); ``trace`` records per-shard events.
+    ``work`` is a plain worker, a
+    :class:`~repro.runner.warmstart.WarmStartPlan`, or a
+    :class:`~repro.runner.batchexec.TraceBatchPlan`.  A plan's distinct
+    prefixes are built and checkpointed once in this process before any
+    trial; their digests join the cache keys.
+
+    ``jobs <= 1`` runs inline (a trace-batch plan as one array program per
+    chunk); ``jobs > 1`` fans the uncached shards out to worker processes.
+    ``cache_tag`` names the sweep family in cache keys (bump it when a
+    worker's *output format* changes without a rename).  ``metrics``
+    defaults to the process registry (the null sink unless one is
+    installed); ``trace`` records per-shard events.
 
     ``faults`` injects deterministic crashes/timeouts per (shard, attempt);
     ``retries`` bounds how many times a failing shard is re-attempted, with
@@ -195,15 +231,13 @@ def run_shards(
     (None resolves the process default / ``$REPRO_STORE``;
     :data:`repro.store.DISABLED` suppresses recording); ``campaign`` names
     the run's campaign (default: the cache tag minus its version suffix,
-    else the worker's identity).  ``_ingest`` is internal: wrapping
-    executors (warm start, trial batch) pass their executor name, prefix
-    digests, and batch width through it so a delegated sweep is recorded
-    exactly once, with the outermost executor's identity.
+    else the work's identity).
 
     ``runtime`` selects the execution runtime for the parallel path: an
     explicit :class:`~repro.runner.runtime.Runtime` reuses its persistent
-    pool, :data:`~repro.runner.runtime.FRESH` forces an ephemeral per-call
-    pool, and None resolves the process default / ``$REPRO_RUNTIME`` (see
+    pool (and receives a plan's checkpoint table through shared memory),
+    :data:`~repro.runner.runtime.FRESH` forces an ephemeral per-call pool,
+    and None resolves the process default / ``$REPRO_RUNTIME`` (see
     :mod:`repro.runner.runtime`).  The choice never changes output — only
     how worker processes are provisioned.
     """
@@ -235,6 +269,24 @@ def run_shards(
             )
         slot_of[shard.index] = slot
 
+    plan = work if isinstance(work, PrefixPlan) else None
+    rt = resolve_runtime(runtime) if jobs > 1 else None
+    worker: Worker = work  # type: ignore[assignment]
+    prefixes = None
+    if plan is not None:
+        prefixes = build_prefixes(plan, shards, registry, trace)
+        # Under a persistent runtime, ship the parent-built checkpoint table
+        # through one shared-memory segment: pool workers forked before
+        # these prefixes existed adopt the parent's checkpoints instead of
+        # each capturing their own, and the table travels once per content.
+        shipped = None
+        if rt is not None and prefixes.states:
+            shipped = rt.put_payload(
+                {key: state[2] for key, state in prefixes.states.items()},
+                registry=registry,
+            )
+        worker = PlanWorker(plan, prefixes.digests, checkpoints=shipped)
+
     pending: List[Shard] = []
     keys: Dict[int, str] = {}
     cache_counts_before = (
@@ -244,7 +296,11 @@ def run_shards(
     )
     if cache is not None:
         for slot, shard in enumerate(shards):
-            key = keys[slot] = _cache_key(cache, worker, cache_tag, shard)
+            digest = (
+                None if prefixes is None
+                else prefixes.digests[prefixes.json_of[slot]]
+            )
+            key = keys[slot] = _cache_key(cache, work, cache_tag, shard, digest)
             hit = cache.get(key)
             if hit is not None:
                 results[slot] = hit
@@ -258,20 +314,33 @@ def run_shards(
     busy_seconds = 0.0
     retried_attempts = 0
     failed_shards = 0
+    restores = 0
     workers_used = min(jobs, len(pending)) if jobs > 1 else (1 if pending else 0)
-    if pending:
+    computed: List[_Outcome] = []
+    attempt = partial(
+        _attempt_shard, worker, faults, retries, backoff_base, backoff_cap
+    )
+    if isinstance(plan, TraceBatchPlan) and jobs <= 1:
+        computed, restores = run_batched(
+            plan,
+            pending,
+            [prefixes.json_of[slot_of[shard.index]] for shard in pending],
+            prefixes.states,
+            faults,
+            attempt,
+            registry,
+            trace,
+        )
+    elif pending:
         if faults is None and retries == 0 and on_error == "raise":
             # Legacy fast path: worker exceptions propagate unwrapped.
             call = partial(_timed_call, worker)
         else:
-            call = partial(
-                _attempt_shard, worker, faults, retries, backoff_base, backoff_cap
-            )
-        # A single pending shard (or a fully cached sweep, which never
-        # reaches here) is not worth a worker process: run it inline.
-        # Workers are pure functions of the shard, so output is identical.
+            call = attempt
+        # A single pending shard (or a fully cached sweep) is not worth a
+        # worker process: run it inline.  Workers are pure functions of the
+        # shard, so output is identical.
         if jobs > 1 and len(pending) > 1:
-            rt = resolve_runtime(runtime)
             if rt is not None:
                 computed = rt.map(
                     call, pending, workers_used, metrics=registry, trace=trace
@@ -281,38 +350,41 @@ def run_shards(
                     computed = list(pool.map(call, pending))
         else:
             computed = [call(shard) for shard in pending]
-        shard_seconds = registry.histogram("runner.shard.seconds", _SHARD_SECONDS_BUCKETS)
-        for shard, (result, failure, elapsed, attempts) in zip(pending, computed):
-            slot = slot_of[shard.index]
-            if attempts > 1:
-                retried_attempts += attempts - 1
-                trace.emit(
-                    "runner.shard.retried",
-                    shard=shard.index,
-                    retries=attempts - 1,
-                    recovered=failure is None,
+        if plan is not None:
+            restores = plan.restores_per_trial * len(pending)
+
+    shard_seconds = registry.histogram("runner.shard.seconds", _SHARD_SECONDS_BUCKETS)
+    for shard, (result, failure, elapsed, attempts) in zip(pending, computed):
+        slot = slot_of[shard.index]
+        if attempts > 1:
+            retried_attempts += attempts - 1
+            trace.emit(
+                "runner.shard.retried",
+                shard=shard.index,
+                retries=attempts - 1,
+                recovered=failure is None,
+            )
+        if failure is not None:
+            if on_error == "raise":
+                raise ReproError(
+                    f"shard {shard.index} failed after {attempts} "
+                    f"attempt(s): {failure['error']}: {failure['message']}"
                 )
-            if failure is not None:
-                if on_error == "raise":
-                    raise ReproError(
-                        f"shard {shard.index} failed after {attempts} "
-                        f"attempt(s): {failure['error']}: {failure['message']}"
-                    )
-                failed_shards += 1
-                results[slot] = {SHARD_ERROR_KEY: failure}
-                trace.emit(
-                    "runner.shard.failed",
-                    shard=shard.index,
-                    attempts=attempts,
-                    error=failure["error"],
-                )
-            else:
-                results[slot] = result
-                if cache is not None:
-                    cache.put(keys[slot], result)
-                trace.emit("runner.shard", shard=shard.index, seconds=elapsed)
-            busy_seconds += elapsed
-            shard_seconds.observe(elapsed)
+            failed_shards += 1
+            results[slot] = {SHARD_ERROR_KEY: failure}
+            trace.emit(
+                "runner.shard.failed",
+                shard=shard.index,
+                attempts=attempts,
+                error=failure["error"],
+            )
+        else:
+            results[slot] = result
+            if cache is not None:
+                cache.put(keys[slot], result)
+            trace.emit("runner.shard", shard=shard.index, seconds=elapsed)
+        busy_seconds += elapsed
+        shard_seconds.observe(elapsed)
 
     registry.counter("runner.shards.total").inc(len(shards))
     registry.counter("runner.shards.computed").inc(len(pending))
@@ -321,6 +393,8 @@ def run_shards(
     # even on fault-free runs.
     registry.counter("runner.retries").inc(retried_attempts)
     registry.counter("runner.failures").inc(failed_shards)
+    if plan is not None:
+        registry.counter("runner.checkpoint.restores").inc(restores)
     if cache is not None:
         registry.counter("runner.cache.hits").inc(cache.hits - cache_counts_before[0])
         registry.counter("runner.cache.misses").inc(cache.misses - cache_counts_before[1])
@@ -346,18 +420,14 @@ def run_shards(
 
     from ..store.ingest import campaign_name, record_sweep
 
-    ingest = _ingest or {}
-    identity = getattr(worker, "cache_identity", None)
-    if identity is None:
-        identity = f"{worker.__module__}.{worker.__qualname__}"
     record_sweep(
         store,
-        campaign if campaign is not None else campaign_name(cache_tag, identity),
+        campaign if campaign is not None else campaign_name(cache_tag, _identity(work)),
         shards,
         results,
-        executor=ingest.get("executor", "pool"),
-        batch_size=ingest.get("batch_size", 1),
-        digests=ingest.get("digests"),
+        executor="pool" if plan is None else plan.executor,
+        batch_size=getattr(plan, "batch_size", 1),
+        digests=None if prefixes is None else dict(prefixes.digests),
         jobs=max(workers_used, 1),
         shards_computed=len(pending),
         shards_cached=len(shards) - len(pending),

@@ -10,7 +10,7 @@ issue one small shard batch per round for tens of rounds, it *is* the
 bottleneck.
 
 A :class:`Runtime` keeps the expensive parts alive across
-``run_shards``/``run_warm_shards``/``run_batch_shards`` calls:
+``run_shards`` calls:
 
 * **Reusable pool** — worker processes spawn lazily on the first parallel
   batch and survive until :meth:`Runtime.close`.  Per-worker state (the
@@ -19,8 +19,8 @@ A :class:`Runtime` keeps the expensive parts alive across
   once per worker instead of once per round.  An *epoch* generation guard
   (:meth:`Runtime.bump_epoch`) clears that state on demand so nothing can
   leak between incompatible sweeps.
-* **Shared-memory transfer** — the chunk worker (and, from the warm-start
-  executor, the parent-built :class:`~repro.sim.machine.MachineCheckpoint`
+* **Shared-memory transfer** — the chunk worker (and, for a warm-start or
+  trace-batch plan, the parent-built :class:`~repro.sim.machine.MachineCheckpoint`
   table) ships once per *content* through
   :mod:`multiprocessing.shared_memory` instead of pickling per task.
   Payloads are pickled with protocol 5: ``bytes``/NumPy planes travel as

@@ -3,10 +3,10 @@
 Every sweep trial used to rebuild a :class:`~repro.sim.Machine` from
 ``(config, seed)`` and re-simulate the same warm-up/calibration prefix
 before the part that actually varies.  A :class:`WarmStartPlan` splits a
-trial into that shared **setup prefix** and a per-shard **body**; the
-executor runs each distinct prefix once, takes a
-:class:`~repro.sim.MachineCheckpoint`, and restores it before every body
-instead of rebuilding.
+trial into that shared **setup prefix** and a per-shard **body**;
+:func:`~repro.runner.pool.run_shards` runs each distinct prefix once
+(:func:`build_prefixes`), takes a :class:`~repro.sim.MachineCheckpoint`,
+and restores it before every body instead of rebuilding.
 
 The determinism contract is unchanged: because ``Machine.restore`` rewinds
 *all* mutable simulation state (clock, RNG, caches, policy metadata, PMU
@@ -27,14 +27,12 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from ..errors import ReproError
-from ..faults import FaultPlan
-from ..obs import EventTrace, MetricsRegistry, get_registry
-from .cache import ResultCache
-from .pool import BACKOFF_CAP_SECONDS, run_shards
+from ..obs import MetricsRegistry
 from .shard import Shard, canonical_json
 
 #: ``setup(prefix_params) -> (machine, context)``: build a machine and run
@@ -64,18 +62,18 @@ def clear_warm_states() -> None:
     _WARM_STATES.clear()
 
 
-@dataclass(frozen=True)
-class WarmStartPlan:
-    """A trial split into a shared setup prefix and a varying body.
+class PrefixPlan:
+    """What the two plan kinds share: prefix params feeding one ``setup``.
 
-    ``prefix_keys`` names the shard params that feed ``setup``; shards
-    agreeing on those params share one machine build + prefix execution.
-    Everything else about a trial must live in the body.
+    Subclasses are frozen dataclasses with ``setup`` and ``prefix_keys``
+    fields; shards agreeing on the ``prefix_keys`` params share one machine
+    build and checkpoint.
     """
 
-    setup: Setup
-    body: Body
-    prefix_keys: Tuple[str, ...]
+    #: The run's executor label in the campaign store.
+    executor = ""
+    #: Checkpoint restores one :meth:`run_trial` costs.
+    restores_per_trial = 1
 
     def prefix_of(self, shard: Shard) -> Dict[str, Any]:
         """The shard's prefix params (the setup's input)."""
@@ -89,7 +87,45 @@ class WarmStartPlan:
 
     def identity(self) -> str:
         """Stable name for cache keys and memo keys."""
-        return f"{self.body.__module__}.{self.body.__qualname__}"
+        named = self._named()
+        return f"{named.__module__}.{named.__qualname__}"
+
+
+@dataclass(frozen=True)
+class WarmStartPlan(PrefixPlan):
+    """A trial split into a shared setup prefix and a varying body.
+
+    Everything about a trial that is not named by ``prefix_keys`` must live
+    in the body.
+    """
+
+    setup: Setup
+    body: Body
+    prefix_keys: Tuple[str, ...]
+
+    executor = "warmstart"
+
+    def _named(self):
+        return self.body
+
+    def engine_of(self, shard: Shard) -> str:
+        """The backend cached rows are keyed under.
+
+        Folded in explicitly (falling back to the process default when the
+        shard does not carry one) so cached rows are never replayed across
+        backends silently — backends are proven bit-identical by the
+        differential suites, but a cache hit must not be the mechanism
+        enforcing that.
+        """
+        from ..engine import default_backend
+
+        return shard.params.get("engine") or default_backend()
+
+    def run_trial(self, machine, context, checkpoint, shard: Shard) -> Dict[str, Any]:
+        # Restore before *every* body — first use and retries included — so
+        # execution never depends on what previously ran on this machine.
+        machine.restore(checkpoint)
+        return self.body(machine, context, shard)
 
 
 def _memo_key(identity: str, prefix_json: str, digest: str) -> tuple:
@@ -112,18 +148,76 @@ def _memo_put(key: tuple, state: tuple) -> None:
     _WARM_STATES[key] = state
 
 
-def _warm_state(plan: WarmStartPlan, prefix: Dict[str, Any], memo_key: tuple) -> tuple:
-    """This process's (machine, context, checkpoint) for ``prefix``."""
-    state = _WARM_STATES.get(memo_key)
-    if state is None:
+@dataclass
+class Prefixes:
+    """A sweep's built prefixes: see :func:`build_prefixes`."""
+
+    #: Canonical prefix JSON of each shard, in shard order.
+    json_of: List[str]
+    #: prefix JSON -> (machine, context, checkpoint).
+    states: Dict[str, tuple]
+    #: prefix JSON -> checkpoint digest.
+    digests: Dict[str, str]
+
+
+def build_prefixes(
+    plan: PrefixPlan, shards: List[Shard], registry: MetricsRegistry, trace
+) -> Prefixes:
+    """Run each distinct prefix of ``shards`` once and checkpoint it.
+
+    The states land in this process's memo: inline runs reuse them
+    directly, forked pool children inherit them for free.  Capture work is
+    accounted under ``runner.checkpoint.*``.  Every prefix is built even
+    when all its shards are cache hits — the digest is needed to *form*
+    the keys — so a warm cache-hit sweep still costs one prefix execution
+    per distinct prefix.
+    """
+    json_of: List[str] = []
+    groups: Dict[str, Dict[str, Any]] = {}
+    shared: Dict[str, str] = {}
+    for shard in shards:
+        prefix = plan.prefix_of(shard)
+        # Hold one string per distinct prefix, not one per shard: a prefix
+        # carrying a platform config encodes to about a kilobyte.
+        prefix_json = canonical_json(prefix)
+        prefix_json = shared.setdefault(prefix_json, prefix_json)
+        json_of.append(prefix_json)
+        groups.setdefault(prefix_json, prefix)
+    sizes = Counter(json_of)
+
+    states: Dict[str, tuple] = {}
+    digests: Dict[str, str] = {}
+    capture_seconds = registry.histogram(
+        "runner.checkpoint.capture.seconds", _PREFIX_SECONDS_BUCKETS
+    )
+    saved_seconds = 0.0
+    for prefix_json, prefix in groups.items():
+        start = time.perf_counter()
         machine, context = plan.setup(prefix)
-        state = (machine, context, machine.checkpoint())
-        _memo_put(memo_key, state)
-    return state
+        checkpoint = machine.checkpoint()
+        elapsed = time.perf_counter() - start
+        digest = digests[prefix_json] = checkpoint.digest()
+        state = states[prefix_json] = (machine, context, checkpoint)
+        _memo_put(_memo_key(plan.identity(), prefix_json, digest), state)
+        registry.counter("runner.checkpoint.captures").inc()
+        registry.counter("runner.checkpoint.bytes").inc(checkpoint.approx_bytes)
+        capture_seconds.observe(elapsed)
+        # Each trial beyond the group's first would have re-run this prefix
+        # cold; count the avoided builds as the (estimated) time saved.
+        saved_seconds += elapsed * (sizes[prefix_json] - 1)
+        trace.emit(
+            "runner.checkpoint.capture",
+            prefix=prefix_json,
+            digest=digest,
+            seconds=elapsed,
+            trials=sizes[prefix_json],
+        )
+    registry.gauge("runner.checkpoint.saved_seconds").set(saved_seconds)
+    return Prefixes(json_of, states, digests)
 
 
-class _WarmWorker:
-    """Picklable shard worker that restores the prefix checkpoint per trial.
+class PlanWorker:
+    """Picklable shard worker running one trial of a plan on its prefix state.
 
     ``checkpoints`` optionally carries a shared-memory
     :class:`~repro.runner.runtime.PayloadRef` to the parent-built
@@ -135,33 +229,10 @@ class _WarmWorker:
     state they restore per trial is byte-for-byte the parent's.
     """
 
-    def __init__(
-        self,
-        plan: WarmStartPlan,
-        digests: Dict[str, str],
-        checkpoints=None,
-    ):
+    def __init__(self, plan: PrefixPlan, digests: Dict[str, str], checkpoints=None):
         self.plan = plan
         self.digests = digests
         self.checkpoints = checkpoints
-        #: Cache identity: the body function, like a cold worker's name.
-        self.cache_identity = plan.identity()
-
-    def cache_components(self, shard: Shard) -> Dict[str, Any]:
-        """Extra cache-key components: prefix checkpoint digest + backend.
-
-        The engine backend is folded in explicitly (falling back to the
-        process default when the shard does not carry one) so cached rows
-        are never replayed across backends silently — backends are proven
-        bit-identical by the differential suites, but a cache hit must
-        not be the mechanism enforcing that.
-        """
-        from ..engine import default_backend
-
-        return {
-            "checkpoint": self.digests[canonical_json(self.plan.prefix_of(shard))],
-            "engine": shard.params.get("engine") or default_backend(),
-        }
 
     def _shipped_checkpoint(self, prefix_json: str):
         """The parent's checkpoint for ``prefix_json`` from shm, if shipped."""
@@ -169,8 +240,7 @@ class _WarmWorker:
             return None
         from .runtime import load_payload
 
-        table = load_payload(self.checkpoints)
-        checkpoint = table.get(prefix_json)
+        checkpoint = load_payload(self.checkpoints).get(prefix_json)
         if checkpoint is None or checkpoint.digest() != self.digests[prefix_json]:
             return None  # stale/foreign table: fall back to a local capture
         return checkpoint
@@ -186,127 +256,4 @@ class _WarmWorker:
             shipped = self._shipped_checkpoint(prefix_json)
             state = (machine, context, shipped or machine.checkpoint())
             _memo_put(memo_key, state)
-        machine, context, checkpoint = state
-        # Restore before *every* body — first use and retries included — so
-        # execution never depends on what previously ran on this machine.
-        machine.restore(checkpoint)
-        return plan.body(machine, context, shard)
-
-
-def run_warm_shards(
-    plan: WarmStartPlan,
-    shards: Sequence[Shard],
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    cache_tag: Optional[str] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    trace: Optional[EventTrace] = None,
-    faults: Optional[FaultPlan] = None,
-    retries: int = 0,
-    backoff_base: float = 0.0,
-    backoff_cap: float = BACKOFF_CAP_SECONDS,
-    on_error: Optional[str] = None,
-    store=None,
-    campaign: Optional[str] = None,
-    runtime=None,
-) -> List[Dict[str, Any]]:
-    """Run ``shards`` through ``plan`` with per-prefix warm starts.
-
-    Groups shards by their prefix params, builds each group's machine and
-    checkpoint once in the parent (seeding the worker memo — forked pool
-    children inherit it), then delegates to
-    :func:`~repro.runner.pool.run_shards` with a worker that restores the
-    checkpoint before every trial body.  All runner features compose
-    unchanged: result caching (the checkpoint digest is part of the key),
-    fault injection, retries, metrics, tracing, and campaign-store
-    recording (the run lands once, as executor ``"warmstart"``, with its
-    prefix checkpoint digests).
-
-    Note the parent builds every distinct prefix even when all shards are
-    cache hits — the digest is needed to *form* the keys.  A warm cache-hit
-    sweep therefore costs one prefix execution per distinct prefix; the
-    per-trial simulation is what the cache elides.
-    """
-    registry = metrics if metrics is not None else get_registry()
-    shards = list(shards)
-
-    # Group shards by canonical prefix (insertion order = shard order).
-    groups: Dict[str, Dict[str, Any]] = {}
-    group_sizes: Dict[str, int] = {}
-    for shard in shards:
-        prefix = plan.prefix_of(shard)
-        prefix_json = canonical_json(prefix)
-        groups.setdefault(prefix_json, prefix)
-        group_sizes[prefix_json] = group_sizes.get(prefix_json, 0) + 1
-
-    # Build each prefix once, checkpoint it, and record its digest.  The
-    # states land in this process's memo: inline runs (jobs <= 1) reuse
-    # them directly, forked pool children inherit them for free.
-    digests: Dict[str, str] = {}
-    built: Dict[str, Any] = {}
-    capture_seconds = registry.histogram(
-        "runner.checkpoint.capture.seconds", _PREFIX_SECONDS_BUCKETS
-    )
-    saved_seconds = 0.0
-    for prefix_json, prefix in groups.items():
-        start = time.perf_counter()
-        machine, context = plan.setup(prefix)
-        checkpoint = built[prefix_json] = machine.checkpoint()
-        elapsed = time.perf_counter() - start
-        digest = digests[prefix_json] = checkpoint.digest()
-        _memo_put(_memo_key(plan.identity(), prefix_json, digest),
-                  (machine, context, checkpoint))
-        registry.counter("runner.checkpoint.captures").inc()
-        registry.counter("runner.checkpoint.bytes").inc(checkpoint.approx_bytes)
-        capture_seconds.observe(elapsed)
-        # Each trial beyond the group's first would have re-run this prefix
-        # cold; count the avoided builds as the (estimated) time saved.
-        saved_seconds += elapsed * (group_sizes[prefix_json] - 1)
-        if trace is not None:
-            trace.emit(
-                "runner.checkpoint.capture",
-                prefix=prefix_json,
-                digest=digest,
-                seconds=elapsed,
-                trials=group_sizes[prefix_json],
-            )
-
-    # Under a persistent runtime, ship the parent-built checkpoint table
-    # through one shared-memory segment: pool workers forked before these
-    # prefixes existed adopt the parent's checkpoints (digest-checked)
-    # instead of each capturing their own, and the table travels once per
-    # content rather than pickling per task.
-    from .runtime import resolve_runtime
-
-    checkpoints_ref = None
-    rt = resolve_runtime(runtime)
-    if rt is not None and jobs > 1 and built:
-        checkpoints_ref = rt.put_payload(built, registry=registry)
-
-    worker = _WarmWorker(plan, digests, checkpoints=checkpoints_ref)
-    computed_before = registry.counter("runner.shards.computed").value
-    results = run_shards(
-        worker,
-        shards,
-        jobs=jobs,
-        runtime=runtime,
-        cache=cache,
-        cache_tag=cache_tag,
-        metrics=registry,
-        trace=trace,
-        faults=faults,
-        retries=retries,
-        backoff_base=backoff_base,
-        backoff_cap=backoff_cap,
-        on_error=on_error,
-        store=store,
-        campaign=campaign,
-        _ingest={"executor": "warmstart", "digests": dict(digests)},
-    )
-    # Every computed (non-cached) trial restored the checkpoint exactly once
-    # per successful attempt; retried attempts restore again, but those are
-    # already visible via runner.retries, so count one restore per compute.
-    computed = registry.counter("runner.shards.computed").value - computed_before
-    registry.counter("runner.checkpoint.restores").inc(computed)
-    registry.gauge("runner.checkpoint.saved_seconds").set(saved_seconds)
-    return results
+        return plan.run_trial(*state, shard)

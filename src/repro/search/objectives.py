@@ -41,7 +41,7 @@ from ..experiments.detection_sweep import (
     _detection_body,
     _detection_setup,
 )
-from ..runner import Shard, WarmStartPlan, run_shards, run_warm_shards
+from ..runner import Shard, WarmStartPlan, run_shards
 from ..victims.noise import NoiseConfig
 from .space import Candidate, IntDimension, SearchSpace
 
@@ -203,7 +203,7 @@ class CapacityCliffObjective(Objective):
         }
 
     def evaluate_shards(self, shards: Sequence[Shard], ctx) -> List[Dict[str, Any]]:
-        return run_warm_shards(
+        return run_shards(
             _CAPACITY_SCORE_PLAN, shards, jobs=ctx.jobs,
             cache=ctx.cache, cache_tag="search/capacity_cliff/v1",
             metrics=ctx.metrics, trace=ctx.trace,
@@ -273,7 +273,7 @@ class DetectionKneeObjective(Objective):
         }
 
     def evaluate_shards(self, shards: Sequence[Shard], ctx) -> List[Dict[str, Any]]:
-        return run_warm_shards(
+        return run_shards(
             _DETECTION_SCORE_PLAN, shards, jobs=ctx.jobs,
             cache=ctx.cache, cache_tag="search/detection_knee/v1",
             metrics=ctx.metrics, trace=ctx.trace,

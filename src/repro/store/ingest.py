@@ -1,11 +1,14 @@
 """Ingest wiring: how sweep runs and benchmark artifacts reach the store.
 
-The executors in :mod:`repro.runner` call :func:`record_sweep` after every
-merge; ``benchmarks/conftest.artifact`` calls :func:`record_artifact` per
-benchmark.  Both are **fail-soft**: a broken or read-only store costs the
-history entry, never the sweep — mirroring the
+:func:`repro.runner.run_shards` calls :func:`record_sweep` once after
+every merge; ``benchmarks/conftest.artifact`` calls :func:`record_artifact`
+per benchmark.  Both are **fail-soft**: a broken or read-only store costs
+the history entry, never the sweep — mirroring the
 :class:`~repro.runner.cache.ResultCache` contract that results must not
-depend on filesystem health.
+depend on filesystem health.  A lost sweep entry is still loud: it counts
+under ``runner.store.errors``, emits a ``runner.store.error`` trace event
+naming the exception, and the CLI's runner summary says the run was not
+recorded.
 
 Store resolution mirrors the result cache's env convention:
 
@@ -17,9 +20,7 @@ Store resolution mirrors the result cache's env convention:
 * with neither, nothing is recorded.
 
 Pass :data:`DISABLED` to suppress recording for one call even when a
-default store is installed — the executors use it internally so a sweep
-that delegates (warm start -> pool, batch -> pool) is recorded exactly
-once, by the outermost executor.
+default store is installed.
 """
 
 from __future__ import annotations
@@ -144,7 +145,9 @@ def record_sweep(
     experiment stamps one) and falls back to the process default backend.
     ``registry``'s snapshot is stored as the run's metrics; the recording
     itself is accounted under ``runner.store.*`` and a ``runner.store``
-    trace event, so history ingestion is observable like everything else.
+    trace event (``runner.store.error``, with the exception's type and
+    message, when the write fails), so history ingestion is observable
+    like everything else.
     """
     target = resolve_store(store)
     if target is None or not shards:
@@ -175,9 +178,12 @@ def record_sweep(
             digests=digests,
             cache_keys=cache_keys,
         )
-    except Exception:
+    except Exception as error:
         if registry is not None:
             registry.counter("runner.store.errors").inc()
+        if trace is not None:
+            trace.emit("runner.store.error", campaign=campaign,
+                       error=type(error).__name__, message=str(error))
         return None
     if registry is not None:
         registry.counter("runner.store.runs").inc()

@@ -1,14 +1,17 @@
-"""The batched shard executor's contract: one array program, same bytes.
+"""The trace-batch plan's contract: one array program, same bytes.
 
-:func:`run_batch_shards` must be interchangeable with the scalar warm-start
-path — same rows in the same order at any ``jobs`` value and any
-``batch_size``, cache entries that interoperate across both paths,
+:func:`run_shards` over a :class:`TraceBatchPlan` must be interchangeable
+with the scalar warm-start path — same rows in the same order at any
+``jobs`` value and any ``batch_size``, cache entries that interoperate
+across both paths,
 deterministic fault injection and bounded retry keyed exactly like the
 pool's, and error records in the right merge slots.  The insertion sweep
 (:mod:`repro.experiments.insertion_sweep`) doubles as the end-to-end
 fixture since it ships both a :class:`TraceBatchPlan` and the equivalent
 scalar :class:`WarmStartPlan`.
 """
+
+import dataclasses
 
 import pytest
 
@@ -26,8 +29,7 @@ from repro.runner import (
     TraceBatchPlan,
     clear_warm_states,
     make_shards,
-    run_batch_shards,
-    run_warm_shards,
+    run_shards,
 )
 from repro.runner.pool import SHARD_ERROR_KEY
 from repro.sim.machine import Machine
@@ -145,7 +147,7 @@ def test_faulted_runs_match_the_scalar_path():
 
 def test_exhausted_shards_become_error_records():
     plan = FaultPlan(seed=1, crash_probability=1.0)
-    rows = run_batch_shards(
+    rows = run_shards(
         BATCH_PLAN, _shards("batch"), faults=plan, retries=1
     )
     assert len(rows) == 12
@@ -158,7 +160,7 @@ def test_exhausted_shards_become_error_records():
 def test_on_error_raise_propagates():
     plan = FaultPlan(seed=1, crash_probability=1.0)
     with pytest.raises(ReproError, match="failed after"):
-        run_batch_shards(
+        run_shards(
             BATCH_PLAN, _shards("batch"), faults=plan, retries=1,
             on_error="raise",
         )
@@ -168,7 +170,7 @@ def test_retry_metrics_and_trace_events():
     plan = FaultPlan(seed=3, crash_probability=0.25)
     registry = MetricsRegistry()
     trace = EventTrace()
-    run_batch_shards(
+    run_shards(
         BATCH_PLAN, _shards("batch"), faults=plan, retries=4,
         metrics=registry, trace=trace,
     )
@@ -188,7 +190,7 @@ def test_duplicate_shard_index_rejected():
     shards = _shards("batch")
     shards[3] = Shard(index=shards[2].index, seed=0, params=shards[3].params)
     with pytest.raises(ReproError, match="duplicate shard index"):
-        run_batch_shards(BATCH_PLAN, shards)
+        run_shards(BATCH_PLAN, shards)
 
 
 def test_missing_prefix_param_is_a_clear_error():
@@ -205,8 +207,12 @@ def test_missing_prefix_param_is_a_clear_error():
     (dict(on_error="explode"), "on_error"),
 ])
 def test_argument_validation(kwargs, match):
+    kwargs = dict(kwargs)
     with pytest.raises(ReproError, match=match):
-        run_batch_shards(BATCH_PLAN, _shards("batch"), **kwargs)
+        plan = dataclasses.replace(
+            BATCH_PLAN, batch_size=kwargs.pop("batch_size", 64)
+        )
+        run_shards(plan, _shards("batch"), **kwargs)
 
 
 def test_plan_identity_names_the_trace_builder():

@@ -206,12 +206,35 @@ def _worker(shard: Shard) -> dict:
     return {"index": shard.index, "blob": "z" * 200}
 
 
+def _fig2_shards():
+    """Eight Figure 2 sweep shards (two positions x four trials)."""
+    from repro.config import SKYLAKE
+
+    return make_shards(0, [
+        {"config": SKYLAKE, "machine_seed": 11, "engine": "batch",
+         "position": position, "trial": trial}
+        for position in range(2) for trial in range(4)
+    ])
+
+
 class TestMetricsSurface:
-    def test_runner_cache_evicted_counter(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["worker", "warmstart", "batch"])
+    def test_runner_cache_evicted_counter(self, tmp_path, kind):
+        """Every kind of work reports the evictions its sweep caused."""
+        from repro.experiments.insertion_sweep import BATCH_PLAN, SCALAR_PLAN
+        from repro.runner import clear_warm_states
+
+        work, shards, budget = {
+            "worker": (_worker, make_shards(0, [{"x": i} for i in range(8)]), 600),
+            "warmstart": (SCALAR_PLAN, _fig2_shards(), 150),
+            "batch": (BATCH_PLAN, _fig2_shards(), 150),
+        }[kind]
         registry = MetricsRegistry()
-        cache = ResultCache(str(tmp_path), max_bytes=600)
-        shards = make_shards(0, [{"x": i} for i in range(8)])
-        run_shards(_worker, shards, cache=cache, metrics=registry)
+        cache = ResultCache(str(tmp_path), max_bytes=budget)
+        try:
+            run_shards(work, shards, cache=cache, metrics=registry)
+        finally:
+            clear_warm_states()
         counters = registry.as_dict("runner.")["counters"]
         assert counters["runner.cache.evicted"] == cache.evicted
         assert cache.evicted > 0

@@ -1,7 +1,7 @@
 """The persistent runtime's contract: reused, shared, never different.
 
 ISSUE acceptance: a persistent :class:`~repro.runner.Runtime` behind
-``run_shards``/``run_warm_shards`` must produce bit-identical output to
+``run_shards`` (plain workers and warm-start plans) must produce bit-identical output to
 the fresh-pool path at any ``jobs`` value; pool reuse and shared-memory
 traffic must be visible as ``runner.runtime.*`` metrics; a fully cached
 sweep must never construct a worker pool; and teardown must leave zero
@@ -24,7 +24,6 @@ from repro.runner import (
     make_shards,
     resolve_runtime,
     run_shards,
-    run_warm_shards,
     set_default_runtime,
     use_default_runtime,
 )
@@ -324,11 +323,11 @@ class TestWarmStartUnderRuntime:
         ])
 
     def test_results_and_checkpoint_shipping(self):
-        baseline = run_warm_shards(STUB_PLAN, self._shards(), jobs=1)
+        baseline = run_shards(STUB_PLAN, self._shards(), jobs=1)
         clear_warm_states()
         registry = MetricsRegistry()
         with Runtime() as rt:
-            rows = run_warm_shards(
+            rows = run_shards(
                 STUB_PLAN, self._shards(), jobs=2, runtime=rt, metrics=registry
             )
         assert rows == baseline
@@ -339,13 +338,13 @@ class TestWarmStartUnderRuntime:
 
     def test_worker_adopts_shipped_checkpoint(self):
         """A memo-missing worker restores the parent's checkpoint object."""
-        from repro.runner.warmstart import _WarmWorker, _memo_key
+        from repro.runner.warmstart import PlanWorker, _memo_key
 
         clear_warm_states()
         with Runtime() as rt:
             table = {'{"base":10}': _StubCheckpoint(10)}
             ref = rt.put_payload(table)
-            worker = _WarmWorker(
+            worker = PlanWorker(
                 STUB_PLAN, {'{"base":10}': "stub-10"}, checkpoints=ref
             )
             shard = make_shards(0, [{"base": 10, "x": 5}])[0]

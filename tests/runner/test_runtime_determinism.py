@@ -19,7 +19,6 @@ from repro.runner import (
     clear_warm_states,
     make_shards,
     run_shards,
-    run_warm_shards,
     set_default_runtime,
     use_default_runtime,
 )
@@ -174,10 +173,10 @@ class TestWarmStartEquivalence:
         shards = make_shards(0, [
             {"base": base, "x": x} for base in (10, 20) for x in (1, 2, 3)
         ])
-        baseline = run_warm_shards(STUB_PLAN, shards, jobs=1)
+        baseline = run_shards(STUB_PLAN, shards, jobs=1)
         for runtime in (FRESH, Runtime()):
             clear_warm_states()
-            rows = run_warm_shards(STUB_PLAN, shards, jobs=2, runtime=runtime)
+            rows = run_shards(STUB_PLAN, shards, jobs=2, runtime=runtime)
             assert rows == baseline
             if isinstance(runtime, Runtime):
                 runtime.close()

@@ -7,6 +7,8 @@ the checkpoint digest must compose with the result cache (warm reruns are
 all hits, a changed prefix never collides).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ReproError
@@ -16,10 +18,11 @@ from repro.obs import EventTrace, MetricsRegistry
 from repro.runner import (
     ResultCache,
     Shard,
+    TraceBatchPlan,
     WarmStartPlan,
     clear_warm_states,
     make_shards,
-    run_warm_shards,
+    run_shards,
 )
 from repro.sim.machine import Machine
 
@@ -87,21 +90,60 @@ STUB_PLAN = WarmStartPlan(
 )
 
 
+STUB_BATCH_PLAN = TraceBatchPlan(
+    setup=_stub_setup,
+    make_trace=lambda machine, context, shard: [],
+    reduce=lambda machine, context, shard, results: {},
+    prefix_keys=("base",),
+)
+
+
 def _stub_shards(bases=(10, 20), xs=(1, 2, 3), seed=0):
     return make_shards(seed, [
         {"base": base, "x": x} for base in bases for x in xs
     ])
 
 
+class TestInputsCheckedFirst:
+    """Bad input is rejected before any prefix setup runs."""
+
+    @pytest.mark.parametrize("plan", [STUB_PLAN, STUB_BATCH_PLAN],
+                             ids=["warmstart", "batch"])
+    @pytest.mark.parametrize("kwargs,match", [
+        (dict(jobs=-1), "jobs"),
+        (dict(retries=-1), "retries"),
+        (dict(duplicate=True), "duplicate shard index"),
+        (dict(missing=True), "missing prefix param"),
+    ])
+    def test_no_setup_before_rejection(self, plan, kwargs, match):
+        SETUP_CALLS.clear()
+        shards = _stub_shards()
+        kwargs = dict(kwargs)
+        if kwargs.pop("duplicate", False):
+            shards[-1] = Shard(shards[0].index, 0, shards[-1].params)
+        if kwargs.pop("missing", False):
+            shards[-1] = Shard(shards[-1].index, 0, {"x": 1})
+        with pytest.raises(ReproError, match=match):
+            run_shards(plan, shards, **kwargs)
+        assert SETUP_CALLS == []
+
+    def test_bad_batch_size_rejected_with_the_plan(self):
+        SETUP_CALLS.clear()
+        with pytest.raises(ReproError, match="batch_size"):
+            run_shards(dataclasses.replace(STUB_BATCH_PLAN, batch_size=0),
+                       _stub_shards())
+        assert SETUP_CALLS == []
+
+
 class TestWarmStartPlan:
     def test_groups_build_each_prefix_once(self):
         SETUP_CALLS.clear()
-        results = run_warm_shards(STUB_PLAN, _stub_shards())
+        results = run_shards(STUB_PLAN, _stub_shards())
         assert sorted(SETUP_CALLS) == [10, 20]
         assert [r["y"] for r in results] == [11, 12, 13, 21, 22, 23]
 
     def test_restore_runs_before_every_body(self):
-        results = run_warm_shards(STUB_PLAN, _stub_shards(bases=(5,)))
+        results = run_shards(STUB_PLAN, _stub_shards(bases=(5,)))
         # One shared machine, restored once per trial: 1, 2, 3.
         assert [r["restores"] for r in results] == [1, 2, 3]
 
@@ -113,23 +155,23 @@ class TestWarmStartPlan:
     def test_digest_joins_the_cache_key(self, tmp_path):
         cache = ResultCache(tmp_path)
         shards = _stub_shards(bases=(10,))
-        first = run_warm_shards(STUB_PLAN, shards, cache=cache, cache_tag="t")
+        first = run_shards(STUB_PLAN, shards, cache=cache, cache_tag="t")
         assert (cache.hits, cache.misses) == (0, len(shards))
         clear_warm_states()
-        second = run_warm_shards(STUB_PLAN, shards, cache=cache, cache_tag="t")
+        second = run_shards(STUB_PLAN, shards, cache=cache, cache_tag="t")
         assert second == first
         assert cache.hits == len(shards)
         # A different prefix (hence different digest) must miss, not collide.
         clear_warm_states()
-        run_warm_shards(STUB_PLAN, _stub_shards(bases=(11,)), cache=cache,
-                        cache_tag="t")
+        run_shards(STUB_PLAN, _stub_shards(bases=(11,)), cache=cache,
+                   cache_tag="t")
         assert cache.misses == 2 * len(shards)
 
     def test_checkpoint_metrics_and_trace(self):
         registry = MetricsRegistry()
         trace = EventTrace()
-        run_warm_shards(STUB_PLAN, _stub_shards(), metrics=registry,
-                        trace=trace)
+        run_shards(STUB_PLAN, _stub_shards(), metrics=registry,
+                   trace=trace)
         counters = registry.as_dict("runner.checkpoint")["counters"]
         assert counters["runner.checkpoint.captures"] == 2
         assert counters["runner.checkpoint.restores"] == 6

@@ -7,7 +7,8 @@ import pytest
 
 from repro.config import SKYLAKE
 from repro.experiments.insertion_sweep import run_insertion_sweep
-from repro.obs import MetricsRegistry
+from repro.analysis.reporting import runner_summary
+from repro.obs import EventTrace, MetricsRegistry
 from repro.runner import clear_warm_states, make_shards, run_shards
 from repro.sim.machine import Machine
 from repro.store import (
@@ -141,6 +142,34 @@ class TestRecordSweepFailSoft:
         )
         assert run_id is None
         assert registry.counter("runner.store.errors").value == 1
+
+    def test_failure_is_traced_and_summarised(self):
+        class Broken:
+            def record_run(self, *a, **k):
+                raise RuntimeError("disk on fire")
+
+        registry = MetricsRegistry()
+        trace = EventTrace()
+        results = run_shards(
+            _square, _shards(2), store=Broken(), campaign="squares",
+            metrics=registry, trace=trace,
+        )
+        assert results == [_square(s) for s in _shards(2)]  # still fail-soft
+        errors = [e for e in trace.events if e.name == "runner.store.error"]
+        assert len(errors) == 1
+        assert errors[0].fields == {
+            "campaign": "squares", "error": "RuntimeError",
+            "message": "disk on fire",
+        }
+        assert runner_summary(registry).endswith(
+            "store write failed, run not recorded (1)"
+        )
+
+    def test_summary_silent_when_the_store_worked(self):
+        registry = MetricsRegistry()
+        with CampaignStore() as store:
+            run_shards(_square, _shards(2), store=store, metrics=registry)
+        assert "store write failed" not in runner_summary(registry)
 
     def test_empty_sweep_not_recorded(self):
         with CampaignStore() as store:
