@@ -8,13 +8,12 @@ crossovers fall), not cycle-exact equality.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.results_io import save_result
-from repro.store import CampaignStore, STORE_ENV, record_artifact, stamp_artifact
+from repro.store import CampaignStore, env_store_path, stamp_artifact
 
 #: Machine-readable copies of benchmark results land here.
 ARTIFACT_DIR = Path(__file__).parent / "bench_artifacts"
@@ -23,11 +22,11 @@ ARTIFACT_DIR = Path(__file__).parent / "bench_artifacts"
 #: when set, else a database next to the JSON artifacts.  Fail-soft — an
 #: unopenable store costs the history entry, never the benchmark.
 def _bench_store():
-    env = os.environ.get(STORE_ENV)
-    if env is not None and env.lower() in ("", "0", "off", "none"):
+    path = env_store_path(default=ARTIFACT_DIR / "campaigns.sqlite")
+    if path is None:
         return None
     try:
-        return CampaignStore(env or ARTIFACT_DIR / "campaigns.sqlite")
+        return CampaignStore(path)
     except Exception:  # pragma: no cover - storage health must not gate benches
         return None
 
@@ -60,7 +59,12 @@ def artifact(name: str, result) -> None:
         save_result(result, ARTIFACT_DIR / f"{name}.json")
     except Exception as error:  # pragma: no cover - artifacts are optional
         print(f"(artifact {name} not saved: {error})")
-    record_artifact(name, result, store=_STORE)
+    if _STORE is None or not isinstance(result, dict):
+        return
+    try:
+        _STORE.record_artifact(name, result)
+    except Exception as error:  # the history entry is optional too
+        print(f"(artifact {name} not recorded: {error})")
 
 
 @pytest.fixture

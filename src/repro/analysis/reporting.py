@@ -67,7 +67,8 @@ def runner_summary(registry) -> str:
 
     The sweep commands print this under their result tables so cache
     effectiveness and pool utilization are visible without a profiler, and
-    a sweep whose campaign-store write failed says so.  ``registry`` is any :class:`repro.obs.MetricsRegistry`.
+    a sweep whose result-cache or campaign-store storage failed says so.
+    ``registry`` is any :class:`repro.obs.MetricsRegistry`.
     """
     total = registry.counter("runner.shards.total").value
     cached = registry.counter("runner.shards.cached").value
@@ -79,6 +80,7 @@ def runner_summary(registry) -> str:
     utilization = registry.gauge("runner.pool.utilization").value
     seconds = registry.histogram("runner.shard.seconds")
     store_errors = registry.counter("runner.store.errors").value
+    cache_errors = registry.counter("runner.cache.errors").value
     parts = [
         f"[runner] {total} shard(s): {cached} cached, {computed} computed"
         + (f" ({corrupt} corrupt entries evicted)" if corrupt else "")
@@ -88,6 +90,8 @@ def runner_summary(registry) -> str:
     if computed:
         parts.append(f"mean {seconds.mean:.2f}s/shard")
         parts.append(f"pool {utilization:.0%} busy over {jobs} job(s)")
+    if cache_errors:
+        parts.append(f"cache write failed ({cache_errors})")
     if store_errors:
         parts.append(f"store write failed, run not recorded ({store_errors})")
     return "; ".join(parts)

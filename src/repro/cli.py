@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from contextlib import ExitStack
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .analysis.reporting import format_table
 from .attacks.ntp_ntp import NTPNTPChannel
@@ -59,83 +60,53 @@ def _result_cache(args: argparse.Namespace):
 
 def _fault_plan(args: argparse.Namespace):
     """The :class:`~repro.faults.FaultPlan` behind ``--faults``, if any."""
-    path = getattr(args, "faults", None)
-    if path is None:
+    if args.faults is None:
         return None
     from .faults import FaultPlan
 
-    return FaultPlan.load(path)
-
-
-def _sweep_store_scope(args: argparse.Namespace):
-    """The default-store scope a command runs under.
-
-    ``--store DB`` installs that file as the process default for the
-    command's duration; ``--no-store`` installs the DISABLED sentinel
-    (overriding ``$REPRO_STORE``); with neither, env resolution applies
-    untouched.  Commands without runner flags get a no-op scope.
-    """
-    from contextlib import nullcontext
-
-    if not hasattr(args, "no_store"):
-        return nullcontext()
-    from .store import DISABLED, CampaignStore, use_default_store
-
-    if args.no_store:
-        return use_default_store(DISABLED)
-    if args.store:
-        return use_default_store(CampaignStore(args.store))
-    return nullcontext()
-
-
-def _sweep_runtime_scope(args: argparse.Namespace):
-    """The default-runtime scope a command runs under.
-
-    ``--runtime persistent`` (the default for runner commands) installs
-    one :class:`~repro.runner.Runtime` as the process default for the
-    command's duration — every sweep the command issues shares one worker
-    pool — and closes it (pool shut down, shared memory unlinked) on the
-    way out.  ``--runtime fresh`` installs the FRESH sentinel, forcing a
-    per-sweep pool even when ``$REPRO_RUNTIME=persistent``.  Commands
-    without runner flags get a no-op scope.
-    """
-    from contextlib import contextmanager, nullcontext
-
-    choice = getattr(args, "runtime", None)
-    if choice is None:
-        return nullcontext()
-    from .runner import FRESH, Runtime, use_default_runtime
-
-    if choice == "fresh":
-        return use_default_runtime(FRESH)
-
-    @contextmanager
-    def scope():
-        with Runtime(name="cli") as rt, use_default_runtime(rt):
-            yield
-
-    return scope()
+    return FaultPlan.load(args.faults)
 
 
 def _open_store(args: argparse.Namespace):
-    """The store a read-only command (report/campaigns) queries, or None."""
-    from .store import CampaignStore, get_default_store
+    """The store ``--store DB`` or else ``$REPRO_STORE`` names, or None."""
+    from .store import CampaignStore, env_store_path
 
-    if getattr(args, "store", None):
-        return CampaignStore(args.store)
-    return get_default_store()
+    path = args.store or env_store_path()
+    return CampaignStore(path) if path else None
 
 
-def _sweep_obs(args: argparse.Namespace):
-    """(metrics registry, trace) backing one sweep command's run."""
+def _runner_kwargs(args: argparse.Namespace, stack: ExitStack) -> Dict[str, Any]:
+    """The runner-kwargs mapping every sweep command and ``search`` pass down.
+
+    Store and runtime are resolved here, once per command: ``--no-store``
+    beats ``--store DB``, which beats ``$REPRO_STORE``; ``--runtime
+    persistent`` (the default) opens one :class:`~repro.runner.Runtime`
+    that every sweep of the command shares, ``fresh`` spawns a pool per
+    sweep.  ``stack`` closes the store and runtime when the command ends.
+    """
     from .obs import EventTrace, MetricsRegistry, NULL_TRACE
+    from .runner import FRESH, Runtime
 
-    registry = MetricsRegistry()
-    trace = EventTrace() if getattr(args, "trace", None) else NULL_TRACE
-    return registry, trace
+    store = None if args.no_store else _open_store(args)
+    if store is not None:
+        stack.enter_context(store)
+    if args.runtime == "fresh":
+        runtime = FRESH
+    else:
+        runtime = stack.enter_context(Runtime(name="cli"))
+    return dict(
+        jobs=args.jobs,
+        result_cache=_result_cache(args),
+        metrics=MetricsRegistry(),
+        trace=EventTrace() if args.trace else NULL_TRACE,
+        faults=_fault_plan(args),
+        retries=args.retries,
+        store=store,
+        runtime=runtime,
+    )
 
 
-def _finish_sweep_obs(args: argparse.Namespace, registry, trace) -> None:
+def _finish_sweep_obs(args: argparse.Namespace) -> None:
     """Print the runner summary and export the trace, if one was recorded.
 
     Both lines go to stderr: stdout carries only the result tables, which
@@ -144,9 +115,9 @@ def _finish_sweep_obs(args: argparse.Namespace, registry, trace) -> None:
     """
     from .analysis.reporting import runner_summary
 
-    print(runner_summary(registry), file=sys.stderr)
-    if getattr(args, "trace", None):
-        written = trace.to_jsonl(args.trace)
+    print(runner_summary(args.runner["metrics"]), file=sys.stderr)
+    if args.trace:
+        written = args.runner["trace"].to_jsonl(args.trace)
         print(f"[trace] {written} event(s) -> {args.trace}", file=sys.stderr)
 
 
@@ -213,16 +184,11 @@ def cmd_fig6(args: argparse.Namespace) -> int:
 def cmd_table2(args: argparse.Namespace) -> int:
     from .experiments.capacity_sweep import run_capacity_sweep
 
-    cache = _result_cache(args)
-    registry, trace = _sweep_obs(args)
-    plan = _fault_plan(args)
     rows = []
     for channel in ("ntp+ntp", "prime+probe"):
         sweep = run_capacity_sweep(
             _machine_factory(args), channel, n_bits=args.bits, seed=args.seed,
-            jobs=args.jobs, result_cache=cache, metrics=registry, trace=trace,
-            faults=plan, retries=args.retries,
-            warm_start=not args.cold_start,
+            warm_start=not args.cold_start, **args.runner,
         )
         peak = sweep.peak
         rows.append(
@@ -234,40 +200,31 @@ def cmd_table2(args: argparse.Namespace) -> int:
         title="Table II — peak channel capacities "
               "(paper: NTP+NTP 302/275, Prime+Probe 86/81)",
     ))
-    _finish_sweep_obs(args, registry, trace)
+    _finish_sweep_obs(args)
     return 0
 
 
 def cmd_fig8(args: argparse.Namespace) -> int:
     from .experiments.capacity_sweep import run_capacity_sweep
 
-    registry, trace = _sweep_obs(args)
     sweep = run_capacity_sweep(
         _machine_factory(args), args.channel, n_bits=args.bits, seed=args.seed,
-        jobs=args.jobs, result_cache=_result_cache(args),
-        metrics=registry, trace=trace,
-        faults=_fault_plan(args), retries=args.retries,
-        warm_start=not args.cold_start,
+        warm_start=not args.cold_start, **args.runner,
     )
     print(format_table(
         ("interval", "raw KB/s", "BER", "capacity KB/s"), sweep.rows(),
         title=f"Figure 8 — {args.channel} on {sweep.platform}",
     ))
-    _finish_sweep_obs(args, registry, trace)
+    _finish_sweep_obs(args)
     return 0
 
 
 def cmd_fig2_sweep(args: argparse.Namespace) -> int:
     from .experiments.insertion_sweep import run_insertion_sweep
 
-    registry, trace = _sweep_obs(args)
     sweep = run_insertion_sweep(
         _machine_factory(args), trials=args.trials, seed=args.seed,
-        jobs=args.jobs, result_cache=_result_cache(args),
-        metrics=registry, trace=trace,
-        faults=_fault_plan(args), retries=args.retries,
-        engine=getattr(args, "engine", None),
-        batch_size=args.batch_size,
+        engine=args.engine, batch_size=args.batch_size, **args.runner,
     )
     rows = [
         (str(a), f"{sweep.evicted_fraction[a]*100:.0f}%")
@@ -278,7 +235,7 @@ def cmd_fig2_sweep(args: argparse.Namespace) -> int:
         title=f"Figure 2 sweep — {sweep.platform} via {sweep.engine} engine "
               "(paper: evicted at every position)",
     ))
-    _finish_sweep_obs(args, registry, trace)
+    _finish_sweep_obs(args)
     return 0
 
 
@@ -376,30 +333,22 @@ def cmd_evset(args: argparse.Namespace) -> int:
 def cmd_noise(args: argparse.Namespace) -> int:
     from .experiments.noise_sweep import run_noise_sweep
 
-    registry, trace = _sweep_obs(args)
     result = run_noise_sweep(
         _machine_factory(args), n_bits=args.bits, seed=args.seed,
-        jobs=args.jobs, result_cache=_result_cache(args),
-        metrics=registry, trace=trace,
-        faults=_fault_plan(args), retries=args.retries,
-        warm_start=not args.cold_start,
+        warm_start=not args.cold_start, **args.runner,
     )
     print(format_table(result.header(), result.rows(),
                        title="Section IV-B3 — BER vs noise intensity"))
-    _finish_sweep_obs(args, registry, trace)
+    _finish_sweep_obs(args)
     return 0
 
 
 def cmd_detect_sweep(args: argparse.Namespace) -> int:
     from .experiments.detection_sweep import run_detection_sweep
 
-    registry, trace = _sweep_obs(args)
     result = run_detection_sweep(
         _machine_factory(args), duration=args.duration,
-        jobs=args.jobs, result_cache=_result_cache(args),
-        metrics=registry, trace=trace,
-        faults=_fault_plan(args), retries=args.retries,
-        warm_start=not args.cold_start,
+        warm_start=not args.cold_start, **args.runner,
     )
     print(format_table(result.header(), result.rows(),
                        title="Section V-A3 — FN rate vs victim period"))
@@ -409,21 +358,16 @@ def cmd_detect_sweep(args: argparse.Namespace) -> int:
             print(f"{attack}: usable down to ~{period}-cycle periods")
         except Exception:
             print(f"{attack}: no tested period reached FN <= 10%")
-    _finish_sweep_obs(args, registry, trace)
+    _finish_sweep_obs(args)
     return 0
 
 
 def cmd_sensitivity(args: argparse.Namespace) -> int:
     from .experiments.sensitivity import run_sensitivity_experiment
 
-    registry, trace = _sweep_obs(args)
     result = run_sensitivity_experiment(
         _PLATFORMS[args.platform], n_bits=args.bits, seed=args.seed,
-        engine=getattr(args, "engine", None),
-        jobs=args.jobs, result_cache=_result_cache(args),
-        metrics=registry, trace=trace,
-        faults=_fault_plan(args), retries=args.retries,
-        warm_start=not args.cold_start,
+        engine=args.engine, warm_start=not args.cold_start, **args.runner,
     )
     rows = [
         (f"{p.sync_scale:.2f}", f"{p.ntp_capacity:.0f}",
@@ -436,7 +380,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     ))
     lo, hi = result.advantage_range()
     print(f"advantage range over perturbation: {lo:.1f}x - {hi:.1f}x")
-    _finish_sweep_obs(args, registry, trace)
+    _finish_sweep_obs(args)
     return 0
 
 
@@ -571,29 +515,27 @@ def cmd_compare(args: argparse.Namespace) -> int:
         run_channel_comparison,
     )
 
-    registry, trace = _sweep_obs(args)
     result = run_channel_comparison(
         _machine_factory(args), n_bits=args.bits,
-        jobs=args.jobs, result_cache=_result_cache(args),
-        metrics=registry, trace=trace,
-        faults=_fault_plan(args), retries=args.retries,
-        warm_start=not args.cold_start,
+        warm_start=not args.cold_start, **args.runner,
     )
     print(format_table(ComparisonResult.HEADER, result.rows(),
                        title="Covert-channel design space"))
-    _finish_sweep_obs(args, registry, trace)
+    _finish_sweep_obs(args)
     return 0
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     from .experiments.chaos_sweep import run_chaos_sweep
 
-    registry, trace = _sweep_obs(args)
+    # The chaos sweep takes neither a store nor a runtime: it records
+    # nothing and spawns a pool per parallel act.
+    runner = args.runner
     result = run_chaos_sweep(
         _machine_factory(args), n_bits=args.bits,
         crash_probability=args.crash, retries=args.retries,
-        seed=args.seed, jobs=args.jobs, result_cache=_result_cache(args),
-        metrics=registry, trace=trace, plan=_fault_plan(args),
+        seed=args.seed, jobs=args.jobs, result_cache=runner["result_cache"],
+        metrics=runner["metrics"], trace=runner["trace"], plan=runner["faults"],
     )
     print(format_table(result.header(), result.rows(),
                        title="Chaos — channel BER/delivery vs fault rate"))
@@ -602,24 +544,21 @@ def cmd_chaos(args: argparse.Namespace) -> int:
           f"retries={result.retries}): {verdict}, "
           f"{result.runner_retries} retried attempt(s), "
           f"{result.runner_failures} unrecovered shard(s)")
-    _finish_sweep_obs(args, registry, trace)
+    _finish_sweep_obs(args)
     return 0 if result.ok else 1
 
 
 def cmd_search(args: argparse.Namespace) -> int:
     from .search import EvalContext, make_driver, make_objective
 
-    registry, trace = _sweep_obs(args)
     objective = make_objective(
         args.objective, config=_PLATFORMS[args.platform],
-        engine=getattr(args, "engine", None),
+        engine=args.engine,
     )
     driver = make_driver(args.strategy, objective, budget=args.budget)
-    outcome = driver.run(EvalContext(
-        seed=args.seed, jobs=args.jobs, cache=_result_cache(args),
-        metrics=registry, trace=trace,
-        faults=_fault_plan(args), retries=args.retries,
-    ))
+    # EvalContext names the result cache ``cache``.
+    fields = {("cache" if k == "result_cache" else k): v for k, v in args.runner.items()}
+    outcome = driver.run(EvalContext(seed=args.seed, **fields))
     rows = [
         (
             row["round"], row["fidelity"], row["evaluations"],
@@ -637,7 +576,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     print(f"evaluations: {outcome.evaluations_used} of {outcome.grid_size} "
           f"grid points ({outcome.evaluations_used / outcome.grid_size:.0%})")
     print(f"fingerprint: {outcome.fingerprint}")
-    _finish_sweep_obs(args, registry, trace)
+    _finish_sweep_obs(args)
     return 0
 
 
@@ -719,6 +658,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from .runner.cache import default_cache_root
     from .service import JobQueue, make_backend, run_service
+    from .store import env_store_path
 
     cache_root = (
         None if args.no_cache
@@ -726,7 +666,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     queue = JobQueue(args.queue, max_depth=args.max_depth)
     backend = make_backend(
-        args.backend, cache_root=cache_root, store_path=args.store
+        args.backend, cache_root=cache_root,
+        store_path=args.store or env_store_path(),
     )
 
     def ready(service) -> None:
@@ -1074,7 +1015,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1, metavar="N",
                    help="concurrent dispatcher slots (jobs run at once)")
     p.add_argument("--store", metavar="DB", default=None,
-                   help="campaign store recording every job's runs")
+                   help="campaign store recording every job's runs "
+                        "(default: $REPRO_STORE)")
     p.add_argument("--cache-dir", metavar="DIR", default=None,
                    help="result cache root shared by all jobs "
                         "(default: $REPRO_CACHE_DIR, else the user cache)")
@@ -1120,7 +1062,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    with _sweep_store_scope(args), _sweep_runtime_scope(args):
+    with ExitStack() as stack:
+        if hasattr(args, "runtime"):  # a runner command
+            args.runner = _runner_kwargs(args, stack)
         return args.func(args)
 
 

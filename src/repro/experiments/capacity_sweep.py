@@ -172,10 +172,10 @@ def run_capacity_sweep(
     it instead of rebuilding — bit-identical to the cold path at any
     ``jobs`` value (see :mod:`repro.runner.warmstart`).
 
-    ``store``/``campaign`` record the run in a campaign store (default:
-    the process default / ``$REPRO_STORE``); the campaign name carries the
-    channel and platform (``capacity_sweep/ntp+ntp/Core i7-6700``) so the
-    regression reporter always diffs like-for-like curves.
+    ``store``/``campaign`` record the run in a campaign store (None
+    records nothing); the campaign name carries the channel and platform
+    (``capacity_sweep/ntp+ntp/Core i7-6700``) so the regression reporter
+    always diffs like-for-like curves.
     """
     if channel not in ("ntp+ntp", "prime+probe"):
         raise ChannelError(f"unknown channel {channel!r}")

@@ -38,14 +38,7 @@ from .pool import (
     is_error_record,
     run_shards,
 )
-from .runtime import (
-    FRESH,
-    RUNTIME_ENV,
-    Runtime,
-    resolve_runtime,
-    set_default_runtime,
-    use_default_runtime,
-)
+from .runtime import FRESH, Runtime, resolve_runtime
 from .shard import (
     Shard,
     canonical_json,
@@ -60,11 +53,8 @@ __all__ = [
     "WarmStartPlan",
     "clear_warm_states",
     "FRESH",
-    "RUNTIME_ENV",
     "Runtime",
     "resolve_runtime",
-    "set_default_runtime",
-    "use_default_runtime",
     "BACKOFF_CAP_SECONDS",
     "CACHE_DIR_ENV",
     "ResultCache",

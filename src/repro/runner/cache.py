@@ -75,6 +75,9 @@ class ResultCache:
         self.corrupt = 0
         #: Payloads refused by :meth:`put` (non-finite floats — not JSON).
         self.rejected = 0
+        #: :meth:`get` / :meth:`put` calls the storage failed (sqlite or OS
+        #: error); a failed get is also a miss, a failed put stores nothing.
+        self.errors = 0
         #: Entries removed to keep the cache under ``max_bytes``.
         self.evicted = 0
         # Entry bytes as of the last eviction pass plus this handle's puts
@@ -124,6 +127,7 @@ class ResultCache:
             row = db.execute("SELECT payload FROM entries WHERE key = ?",
                              (key,)).fetchone()
         except (sqlite3.Error, OSError):
+            self.errors += 1
             row = None
         if row is None:
             self.misses += 1
@@ -169,7 +173,7 @@ class ResultCache:
             else:
                 self._total_bytes += len(text)
         except (sqlite3.Error, OSError):
-            return  # fail-soft: a broken cache only costs recomputation
+            self.errors += 1  # fail-soft: a broken cache only costs recomputation
 
     def _evict(self, db: sqlite3.Connection, keep: str) -> None:
         """Drop oldest entries until the budget holds, sparing ``keep``.

@@ -28,17 +28,16 @@ prefix run as one array program per chunk).  It guarantees:
   worker runs, so a recoverable chaos run merges bit-identically to a
   fault-free run.
 * **Accounted execution** — per-shard wall time, pool utilization, retry
-  and failure counts, checkpoint work, and cache hit/miss/corrupt/evicted
-  counts land in the run's metrics registry (``runner.retries`` /
-  ``runner.failures`` among them) and (optionally) an
+  and failure counts, checkpoint work, and cache hit/miss/corrupt/evicted/
+  error/rejected counts land in the run's metrics registry
+  (``runner.retries`` / ``runner.failures`` among them) and (optionally) an
   :class:`~repro.obs.trace.EventTrace`, so sweep summaries and
   ``--trace FILE`` cost nothing to support here.
 * **Durable history** — with a :class:`~repro.store.CampaignStore`
-  (explicit ``store=``, the process default, or ``$REPRO_STORE``), the
-  merged run is recorded once — shard params, results, cache keys,
-  accounting, executor label (``pool``/``warmstart``/``batch``), batch
-  width, checkpoint digests, and a metrics snapshot — fail-soft (see
-  :mod:`repro.store.ingest`).
+  passed as ``store=``, the merged run is recorded once — shard params,
+  results, cache keys, accounting, executor label
+  (``pool``/``warmstart``/``batch``), batch width, checkpoint digests,
+  and a metrics snapshot — fail-soft (see :mod:`repro.store.ingest`).
 """
 
 from __future__ import annotations
@@ -64,6 +63,9 @@ Work = Union[Worker, WarmStartPlan, TraceBatchPlan]
 
 #: Shard wall-time histogram buckets (seconds).
 _SHARD_SECONDS_BUCKETS = (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0)
+
+#: :class:`ResultCache` counters published per run as ``runner.cache.*``.
+_CACHE_COUNTS = ("hits", "misses", "corrupt", "evicted", "errors", "rejected")
 
 #: Key marking a merged slot as a shard failure rather than a result.
 SHARD_ERROR_KEY = "__shard_error__"
@@ -227,19 +229,16 @@ def run_shards(
     default is ``"record"`` whenever faults or retries are engaged and the
     legacy ``"raise"`` otherwise.
 
-    ``store`` selects the campaign store the merged run is recorded into
-    (None resolves the process default / ``$REPRO_STORE``;
-    :data:`repro.store.DISABLED` suppresses recording); ``campaign`` names
-    the run's campaign (default: the cache tag minus its version suffix,
-    else the work's identity).
+    ``store`` is the campaign store the merged run is recorded into (None
+    records nothing); ``campaign`` names the run's campaign (default: the
+    cache tag minus its version suffix, else the work's identity).
 
-    ``runtime`` selects the execution runtime for the parallel path: an
-    explicit :class:`~repro.runner.runtime.Runtime` reuses its persistent
-    pool (and receives a plan's checkpoint table through shared memory),
-    :data:`~repro.runner.runtime.FRESH` forces an ephemeral per-call pool,
-    and None resolves the process default / ``$REPRO_RUNTIME`` (see
-    :mod:`repro.runner.runtime`).  The choice never changes output — only
-    how worker processes are provisioned.
+    ``runtime`` selects the execution runtime for the parallel path: a
+    :class:`~repro.runner.runtime.Runtime` reuses its persistent pool (and
+    receives a plan's checkpoint table through shared memory); None or
+    :data:`~repro.runner.runtime.FRESH` spawns a pool for this call only.
+    The choice never changes output — only how worker processes are
+    provisioned.
     """
     if jobs < 0:
         raise ReproError(f"jobs must be >= 0, got {jobs}")
@@ -290,9 +289,9 @@ def run_shards(
     pending: List[Shard] = []
     keys: Dict[int, str] = {}
     cache_counts_before = (
-        (cache.hits, cache.misses, cache.corrupt, cache.evicted)
+        {name: getattr(cache, name) for name in _CACHE_COUNTS}
         if cache is not None
-        else (0, 0, 0, 0)
+        else {}
     )
     if cache is not None:
         for slot, shard in enumerate(shards):
@@ -395,11 +394,8 @@ def run_shards(
     registry.counter("runner.failures").inc(failed_shards)
     if plan is not None:
         registry.counter("runner.checkpoint.restores").inc(restores)
-    if cache is not None:
-        registry.counter("runner.cache.hits").inc(cache.hits - cache_counts_before[0])
-        registry.counter("runner.cache.misses").inc(cache.misses - cache_counts_before[1])
-        registry.counter("runner.cache.corrupt").inc(cache.corrupt - cache_counts_before[2])
-        registry.counter("runner.cache.evicted").inc(cache.evicted - cache_counts_before[3])
+    for name, before in cache_counts_before.items():
+        registry.counter(f"runner.cache.{name}").inc(getattr(cache, name) - before)
     wall_seconds = time.perf_counter() - wall_start
     registry.gauge("runner.pool.jobs").set(max(workers_used, 1))
     if pending and wall_seconds > 0:

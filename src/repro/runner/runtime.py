@@ -37,37 +37,29 @@ A :class:`Runtime` keeps the expensive parts alive across
   fault/retry call keyed on ``(index, attempt)``, so output is
   bit-identical to the fresh-pool path at any ``jobs`` value.
 
-Resolution mirrors the campaign store's convention — explicit ``runtime=``
-argument first, then the process default
-(:func:`set_default_runtime` / :func:`use_default_runtime`, which the
-CLI's ``--runtime persistent`` installs), then the ``REPRO_RUNTIME``
-environment variable (``persistent`` enables a process-global runtime,
-closed at exit; ``fresh`` or unset keeps the legacy per-call pool).  Pass
-:data:`FRESH` to force an ephemeral pool for one call even when a default
-runtime is installed.
+Callers choose the runtime: an explicit :class:`Runtime` reuses its pool,
+and ``None`` (or the :data:`FRESH` sentinel) gives each parallel call its
+own one-shot pool.  Nothing here reads the environment or keeps a process
+default; the CLI's ``--runtime persistent`` opens one :class:`Runtime` per
+command and passes it down.
 """
 
 from __future__ import annotations
 
-import atexit
 import hashlib
 import math
 import os
 import pickle
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ReproError
 from ..obs import EventTrace, MetricsRegistry, NULL_TRACE, get_registry
 
-#: Environment variable selecting the process default (see module docstring).
-RUNTIME_ENV = "REPRO_RUNTIME"
-
-#: Sentinel forcing an ephemeral per-call pool despite an installed default.
+#: Sentinel asking for an ephemeral per-call pool (the same as ``None``).
 FRESH = "fresh"
 
 #: Ideal seconds of shard work per submitted chunk.  Below this the
@@ -528,95 +520,16 @@ class Runtime:
         return results
 
 
-# ---------------------------------------------------------------------------
-# Resolution: explicit > process default > environment
-# ---------------------------------------------------------------------------
-
-_default_runtime: Union[Runtime, None, str] = None
-_default_installed = False
-_env_runtime: Optional[Runtime] = None
-
-
-def set_default_runtime(
-    runtime: Union[Runtime, None, str]
-) -> Union[Runtime, None, str]:
-    """Install ``runtime`` as the process default; returns the previous one.
-
-    ``None`` uninstalls (restoring env-var resolution); :data:`FRESH`
-    installs a default that forces ephemeral pools even when
-    ``$REPRO_RUNTIME=persistent`` — the CLI's ``--runtime fresh``.
-    The runtime's lifecycle stays with the caller: installing never
-    spawns, uninstalling never closes.
-    """
-    global _default_runtime, _default_installed
-    previous = _default_runtime if _default_installed else None
-    _default_runtime = runtime
-    _default_installed = runtime is not None
-    return previous
-
-
-@contextmanager
-def use_default_runtime(
-    runtime: Union[Runtime, None, str]
-) -> Iterator[Union[Runtime, None, str]]:
-    """Scoped :func:`set_default_runtime` (the CLI wraps commands in this)."""
-    previous = set_default_runtime(runtime)
-    try:
-        yield runtime
-    finally:
-        set_default_runtime(previous)
-
-
-def _close_env_runtime() -> None:
-    global _env_runtime
-    if _env_runtime is not None:
-        _env_runtime.close()
-        _env_runtime = None
-
-
-def runtime_configured() -> bool:
-    """Whether any runtime choice is in force (default installed or env set).
-
-    Lets owners of a natural runtime scope — e.g. one search run — create
-    their own persistent runtime *only* when the user has not already made
-    a choice, including the explicit choice of :data:`FRESH`.
-    """
-    return _default_installed or bool(os.environ.get(RUNTIME_ENV, ""))
-
-
-def get_default_runtime() -> Optional[Runtime]:
-    """The process-default runtime, or None for per-call pools."""
-    global _env_runtime
-    if _default_installed:
-        if _default_runtime is FRESH or isinstance(_default_runtime, str):
-            return None
-        return _default_runtime
-    env = os.environ.get(RUNTIME_ENV, "")
-    if not env or env.lower() == FRESH:
-        return None
-    if env.lower() != "persistent":
-        raise ReproError(
-            f"unknown runtime {env!r} from the {RUNTIME_ENV} environment "
-            "variable; expected 'persistent' or 'fresh'"
-        )
-    if _env_runtime is None or _env_runtime.closed:
-        _env_runtime = Runtime(name="env")
-        atexit.register(_close_env_runtime)
-    return _env_runtime
-
-
 def resolve_runtime(
     runtime: Union[Runtime, None, str]
 ) -> Optional[Runtime]:
-    """An executor's effective runtime: explicit, default, env, or none."""
+    """An executor's runtime: the explicit one, or None for a per-call pool."""
     if isinstance(runtime, str):
         if runtime != FRESH:
             raise ReproError(
                 f"unknown runtime {runtime!r}; pass a Runtime, None, or 'fresh'"
             )
         return None
-    if runtime is not None:
-        if runtime.closed:
-            raise ReproError(f"runtime {runtime.name!r} is closed")
-        return runtime
-    return get_default_runtime()
+    if runtime is not None and runtime.closed:
+        raise ReproError(f"runtime {runtime.name!r} is closed")
+    return runtime

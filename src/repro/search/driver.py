@@ -51,11 +51,10 @@ class EvalContext:
     Mirrors the sweep commands' runner surface: ``seed`` is the search's
     root seed (candidate proposal stream *and* shard seed derivation);
     the rest passes straight through to the runner.  ``store=None``
-    resolves the process default / ``$REPRO_STORE`` as usual, and
-    ``runtime=None`` likewise resolves the process-default execution
-    runtime — :meth:`SearchDriver.run` installs one persistent
-    :class:`~repro.runner.Runtime` per search when nothing else is
-    configured, so a 40-round search spawns its worker pool once.
+    records nothing, and with ``runtime=None`` at ``jobs > 1``
+    :meth:`SearchDriver.run` opens one persistent
+    :class:`~repro.runner.Runtime` per search, so a 40-round search
+    spawns its worker pool once.
     """
 
     seed: int = 0
@@ -165,13 +164,12 @@ class SearchDriver:
     def run(self, ctx: Optional[EvalContext] = None) -> SearchOutcome:
         """Execute the search; deterministic in ``ctx.seed`` at any ``jobs``.
 
-        When no runtime is configured anywhere (no ``ctx.runtime``, no
-        process default, no ``$REPRO_RUNTIME``), the driver owns one
-        persistent :class:`~repro.runner.Runtime` for the whole search —
-        every round reuses one worker pool — and closes it before
-        returning.  An explicit choice (including ``FRESH``) is respected.
+        When ``ctx.runtime`` is None and ``ctx.jobs > 1``, the driver owns
+        one persistent :class:`~repro.runner.Runtime` for the whole search
+        — every round reuses one worker pool — and closes it before
+        returning.  An explicit runtime (including ``FRESH``) is respected.
         """
-        from ..runner.runtime import Runtime, runtime_configured
+        from ..runner.runtime import Runtime
 
         ctx = ctx if ctx is not None else EvalContext()
         if ctx.campaign is None:
@@ -179,7 +177,7 @@ class SearchDriver:
         state = _RunState()
         registry = ctx.metrics if ctx.metrics is not None else get_registry()
         owned_runtime = None
-        if ctx.runtime is None and ctx.jobs > 1 and not runtime_configured():
+        if ctx.runtime is None and ctx.jobs > 1:
             owned_runtime = ctx.runtime = Runtime(name=f"search/{self.strategy}")
         try:
             winner, winner_score = self.search(ctx, state)

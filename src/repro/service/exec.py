@@ -2,9 +2,8 @@
 
 :func:`execute_job` calls the *same* experiment functions with the *same*
 arguments the sweep CLI does — machine factory from the platform config,
-store and runtime passed *explicitly* (never through the process-default
-scopes, which are global and would cross-talk between concurrent jobs) —
-so shard seeds, cache keys, warm-start digests, and store
+one runner-kwargs mapping with the job's store and runtime passed
+explicitly — so shard seeds, cache keys, warm-start digests, and store
 ``run_fingerprint``s are byte-identical to a direct ``python -m repro ...``
 invocation of the same sweep.  This is the location-transparency contract:
 the service adds scheduling around the computation, never inside it.
@@ -58,7 +57,7 @@ def _machine_factory(spec: JobSpec):
     return lambda: Machine(config, seed=seed, backend=engine)
 
 
-def _run_capacity(spec: JobSpec, cache, store, runtime, registry, trace) -> Dict[str, Any]:
+def _run_capacity(spec: JobSpec, runner: Dict[str, Any]) -> Dict[str, Any]:
     from ..experiments.capacity_sweep import run_capacity_sweep
 
     params = spec.params
@@ -69,15 +68,8 @@ def _run_capacity(spec: JobSpec, cache, store, runtime, registry, trace) -> Dict
         intervals=tuple(intervals) if intervals is not None else None,
         n_bits=params.get("n_bits", 256),
         seed=spec.seed,
-        jobs=spec.jobs,
-        result_cache=cache,
-        metrics=registry,
-        trace=trace,
-        faults=spec.fault_plan(),
-        retries=spec.retries,
         warm_start=spec.warm_start,
-        store=store,
-        runtime=runtime,
+        **runner,
     )
     peak = sweep.peak
     return {
@@ -88,7 +80,7 @@ def _run_capacity(spec: JobSpec, cache, store, runtime, registry, trace) -> Dict
     }
 
 
-def _run_insertion(spec: JobSpec, cache, store, runtime, registry, trace) -> Dict[str, Any]:
+def _run_insertion(spec: JobSpec, runner: Dict[str, Any]) -> Dict[str, Any]:
     from ..experiments.insertion_sweep import run_insertion_sweep
 
     params = spec.params
@@ -96,16 +88,9 @@ def _run_insertion(spec: JobSpec, cache, store, runtime, registry, trace) -> Dic
         _machine_factory(spec),
         trials=params.get("trials", 32),
         seed=spec.seed,
-        jobs=spec.jobs,
-        result_cache=cache,
-        metrics=registry,
-        trace=trace,
-        faults=spec.fault_plan(),
-        retries=spec.retries,
         engine=spec.engine,
         batch_size=params.get("batch_size", 64),
-        store=store,
-        runtime=runtime,
+        **runner,
     )
     return {
         "platform": sweep.platform,
@@ -117,46 +102,32 @@ def _run_insertion(spec: JobSpec, cache, store, runtime, registry, trace) -> Dic
     }
 
 
-def _run_noise(spec: JobSpec, cache, store, runtime, registry, trace) -> Dict[str, Any]:
+def _run_noise(spec: JobSpec, runner: Dict[str, Any]) -> Dict[str, Any]:
     from ..experiments.noise_sweep import run_noise_sweep
 
     result = run_noise_sweep(
         _machine_factory(spec),
         n_bits=spec.params.get("n_bits", 192),
         seed=spec.seed,
-        jobs=spec.jobs,
-        result_cache=cache,
-        metrics=registry,
-        trace=trace,
-        faults=spec.fault_plan(),
-        retries=spec.retries,
         warm_start=spec.warm_start,
-        store=store,
-        runtime=runtime,
+        **runner,
     )
     return {"rows": len(result.rows())}
 
 
-def _run_detection(spec: JobSpec, cache, store, runtime, registry, trace) -> Dict[str, Any]:
+def _run_detection(spec: JobSpec, runner: Dict[str, Any]) -> Dict[str, Any]:
     from ..experiments.detection_sweep import run_detection_sweep
 
     result = run_detection_sweep(
         _machine_factory(spec),
         duration=spec.params.get("duration", 600_000),
-        jobs=spec.jobs,
-        result_cache=cache,
-        metrics=registry,
-        trace=trace,
-        faults=spec.fault_plan(),
-        retries=spec.retries,
         warm_start=spec.warm_start,
-        store=store,
-        runtime=runtime,
+        **runner,
     )
     return {"rows": len(result.rows())}
 
 
-def _run_sensitivity(spec: JobSpec, cache, store, runtime, registry, trace) -> Dict[str, Any]:
+def _run_sensitivity(spec: JobSpec, runner: Dict[str, Any]) -> Dict[str, Any]:
     from ..experiments.sensitivity import run_sensitivity_experiment
 
     result = run_sensitivity_experiment(
@@ -164,42 +135,28 @@ def _run_sensitivity(spec: JobSpec, cache, store, runtime, registry, trace) -> D
         n_bits=spec.params.get("n_bits", 128),
         seed=spec.seed,
         engine=spec.engine,
-        jobs=spec.jobs,
-        result_cache=cache,
-        metrics=registry,
-        trace=trace,
-        faults=spec.fault_plan(),
-        retries=spec.retries,
         warm_start=spec.warm_start,
-        store=store,
-        runtime=runtime,
+        **runner,
     )
     lo, hi = result.advantage_range()
     return {"points": len(result.points), "advantage_range": [lo, hi]}
 
 
-def _run_comparison(spec: JobSpec, cache, store, runtime, registry, trace) -> Dict[str, Any]:
+def _run_comparison(spec: JobSpec, runner: Dict[str, Any]) -> Dict[str, Any]:
     from ..experiments.channel_comparison import run_channel_comparison
 
     result = run_channel_comparison(
         _machine_factory(spec),
         n_bits=spec.params.get("n_bits", 128),
         seed=spec.seed,
-        jobs=spec.jobs,
-        result_cache=cache,
-        metrics=registry,
-        trace=trace,
-        faults=spec.fault_plan(),
-        retries=spec.retries,
         warm_start=spec.warm_start,
         engine=spec.engine,
-        store=store,
-        runtime=runtime,
+        **runner,
     )
     return {"channels": len(result.profiles)}
 
 
-def _run_search(spec: JobSpec, cache, store, runtime, registry, trace) -> Dict[str, Any]:
+def _run_search(spec: JobSpec, runner: Dict[str, Any]) -> Dict[str, Any]:
     from ..search import EvalContext, make_driver, make_objective
 
     params = spec.params
@@ -212,17 +169,9 @@ def _run_search(spec: JobSpec, cache, store, runtime, registry, trace) -> Dict[s
         params.get("strategy", "halving"), objective,
         budget=params.get("budget", 16),
     )
-    outcome = driver.run(EvalContext(
-        seed=spec.seed,
-        jobs=spec.jobs,
-        cache=cache,
-        metrics=registry,
-        trace=trace,
-        faults=spec.fault_plan(),
-        retries=spec.retries,
-        store=store,
-        runtime=runtime,
-    ))
+    # EvalContext names the result cache ``cache``.
+    fields = {("cache" if k == "result_cache" else k): v for k, v in runner.items()}
+    outcome = driver.run(EvalContext(seed=spec.seed, **fields))
     return {
         "winner": dict(sorted(outcome.winner.items())),
         "winner_score": outcome.winner_score,
@@ -242,29 +191,13 @@ _RUNNERS: Dict[str, Callable] = {
 }
 
 
-class _RecordingStore:
-    """Store proxy that remembers the run ids recorded through it.
+def _run_summaries(store, trace: EventTrace) -> list:
+    """The runs this job's sweeps recorded, from its ``runner.store`` events.
 
-    Concurrent jobs share the store *file*, so "which runs did this job
-    record" cannot be answered by scanning ids — another job's runs land
-    interleaved.  Intercepting :meth:`record_run` attributes each run to
-    the job whose sweep recorded it, exactly.
+    Concurrent jobs share the store *file*, so scanning ids would pick up
+    other jobs' runs; the job's own trace names exactly the runs it wrote.
     """
-
-    def __init__(self, store):
-        self._store = store
-        self.run_ids: list = []
-
-    def record_run(self, *args, **kwargs):
-        run_id = self._store.record_run(*args, **kwargs)
-        self.run_ids.append(run_id)
-        return run_id
-
-    def __getattr__(self, name):
-        return getattr(self._store, name)
-
-
-def _run_summaries(store, run_ids) -> list:
+    run_ids = [e.fields["run"] for e in trace.events if e.name == "runner.store"]
     runs = []
     for run_id in sorted(run_ids):
         run = store.run(run_id)
@@ -291,25 +224,27 @@ def execute_job(
     """Run one spec and return its JSON result summary.
 
     ``cache`` is the node's shared :class:`~repro.runner.ResultCache`,
-    ``store`` its :class:`~repro.store.CampaignStore`, ``runtime`` an
-    optional persistent :class:`~repro.runner.Runtime`.  All three are
-    handed to the experiment layer explicitly — concurrent jobs must never
-    reach through the process-default scopes, which are global state.
-    ``store=None`` falls back to the usual default-store resolution, same
-    as a bare CLI run.  Every job gets a fresh
+    ``store`` its :class:`~repro.store.CampaignStore` (None records
+    nothing), ``runtime`` an optional persistent
+    :class:`~repro.runner.Runtime`; all three are handed to the experiment
+    layer explicitly.  Every job gets a fresh
     :class:`~repro.obs.MetricsRegistry` so summaries never mix jobs; trace
     events stream to ``sink`` as they happen.
     """
-    runner = _RUNNERS.get(spec.experiment)
-    if runner is None:
+    run = _RUNNERS.get(spec.experiment)
+    if run is None:
         raise ServiceError(f"unknown experiment {spec.experiment!r}")
 
     registry = MetricsRegistry()
     trace = ForwardingTrace(sink)
     started = time.time()
-    recording = _RecordingStore(store) if store is not None else None
+    runner = dict(
+        jobs=spec.jobs, result_cache=cache, metrics=registry, trace=trace,
+        faults=spec.fault_plan(), retries=spec.retries,
+        store=store, runtime=runtime,
+    )
 
-    detail = runner(spec, cache, recording, runtime, registry, trace)
+    detail = run(spec, runner)
 
     summary = {
         "experiment": spec.experiment,
@@ -322,8 +257,9 @@ def execute_job(
             "retries": registry.counter("runner.retries").value,
             "failures": registry.counter("runner.failures").value,
         },
+        "store_errors": registry.counter("runner.store.errors").value,
         "detail": detail,
     }
-    if recording is not None:
-        summary["runs"] = _run_summaries(store, recording.run_ids)
+    if store is not None:
+        summary["runs"] = _run_summaries(store, trace)
     return summary

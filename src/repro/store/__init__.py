@@ -6,11 +6,11 @@
 
 * :class:`CampaignStore` — the sqlite database (campaigns, runs, shard
   results, checkpoint digests, benchmark artifacts, memoized analysis).
-* :func:`record_sweep` / :func:`record_artifact` — the fail-soft ingest
-  hooks called by :func:`repro.runner.run_shards` and
-  ``benchmarks/conftest.artifact``.
-* ``REPRO_STORE`` / :func:`set_default_store` / :func:`use_default_store`
-  — how a process opts into recording (see :mod:`repro.store.ingest`).
+* :func:`record_sweep` — the fail-soft ingest hook called by
+  :func:`repro.runner.run_shards` with the store it was handed.
+* :func:`env_store_path` — the store file ``$REPRO_STORE`` names; the
+  CLI, ``repro serve`` and the benchmark conftest read it once and pass
+  the opened store down (see :mod:`repro.store.ingest`).
 
 See ``docs/campaigns.md`` for the schema and the report commands.
 """
@@ -25,16 +25,11 @@ from .db import (
     run_fingerprint,
 )
 from .ingest import (
-    DISABLED,
     STORE_ENV,
     campaign_name,
-    get_default_store,
-    record_artifact,
+    env_store_path,
     record_sweep,
-    resolve_store,
-    set_default_store,
     stamp_artifact,
-    use_default_store,
 )
 
 __all__ = [
@@ -45,14 +40,9 @@ __all__ = [
     "SCHEMA_VERSION",
     "ShardRow",
     "run_fingerprint",
-    "DISABLED",
     "STORE_ENV",
     "campaign_name",
-    "get_default_store",
-    "record_artifact",
+    "env_store_path",
     "record_sweep",
-    "resolve_store",
-    "set_default_store",
     "stamp_artifact",
-    "use_default_store",
 ]

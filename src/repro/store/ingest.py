@@ -1,33 +1,25 @@
-"""Ingest wiring: how sweep runs and benchmark artifacts reach the store.
+"""Ingest wiring: how sweep runs reach the store, and where the store is.
 
 :func:`repro.runner.run_shards` calls :func:`record_sweep` once after
-every merge; ``benchmarks/conftest.artifact`` calls :func:`record_artifact`
-per benchmark.  Both are **fail-soft**: a broken or read-only store costs
-the history entry, never the sweep — mirroring the
+every merge.  Recording is **fail-soft**: a broken or read-only store
+costs the history entry, never the sweep — mirroring the
 :class:`~repro.runner.cache.ResultCache` contract that results must not
 depend on filesystem health.  A lost sweep entry is still loud: it counts
 under ``runner.store.errors``, emits a ``runner.store.error`` trace event
 naming the exception, and the CLI's runner summary says the run was not
 recorded.
 
-Store resolution mirrors the result cache's env convention:
-
-* an explicit :class:`~repro.store.db.CampaignStore` always wins;
-* otherwise the process default applies — set programmatically with
-  :func:`set_default_store` / :func:`use_default_store` (the CLI's
-  ``--store`` does this), or from the ``REPRO_STORE`` env var (a path to
-  the sqlite file; ``0`` / ``off`` / ``none`` disable);
-* with neither, nothing is recorded.
-
-Pass :data:`DISABLED` to suppress recording for one call even when a
-default store is installed.
+Code below the edges never looks for a store: it records into the
+:class:`~repro.store.db.CampaignStore` it is handed, and ``store=None``
+records nothing.  The edges (the CLI, ``repro serve``, the benchmark
+conftest) choose the store once, reading ``$REPRO_STORE`` through
+:func:`env_store_path`.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
 from .db import CampaignStore
 
@@ -37,72 +29,21 @@ STORE_ENV = "REPRO_STORE"
 #: Values of ``REPRO_STORE`` that mean "no store".
 _DISABLING_VALUES = ("", "0", "off", "none")
 
-#: Sentinel: suppress recording for this call even if a default exists.
-DISABLED = object()
 
-#: Programmatic default (takes precedence over the env var when set;
-#: may hold :data:`DISABLED` to force recording off).
-_default_store: Union[CampaignStore, None, object] = None
-_default_installed = False
+def env_store_path(
+    default: Union[str, os.PathLike, None] = None
+) -> Union[str, os.PathLike, None]:
+    """The store file ``$REPRO_STORE`` names; None when it disables recording.
 
-#: Env-derived store, memoized per (env value) so repeated sweeps in one
-#: process share a connection instead of reopening the file per call.
-_env_store: Optional[CampaignStore] = None
-_env_store_path: Optional[str] = None
-
-
-def set_default_store(
-    store: Union[CampaignStore, None, object]
-) -> Union[CampaignStore, None, object]:
-    """Install ``store`` as the process default; returns the previous one.
-
-    ``None`` uninstalls, restoring env-var resolution; :data:`DISABLED`
-    installs a default that records nothing — the CLI's ``--no-store``,
-    which must override ``$REPRO_STORE`` rather than fall back to it.
+    ``0`` / ``off`` / ``none`` (any case) and the empty string disable;
+    an unset variable yields ``default``.
     """
-    global _default_store, _default_installed
-    previous = _default_store if _default_installed else None
-    _default_store = store
-    _default_installed = store is not None
-    return previous
-
-
-@contextmanager
-def use_default_store(store: Optional[CampaignStore]) -> Iterator[Optional[CampaignStore]]:
-    """Scoped :func:`set_default_store` (the CLI wraps each sweep in this)."""
-    previous = set_default_store(store)
-    try:
-        yield store
-    finally:
-        set_default_store(previous)
-
-
-def get_default_store() -> Optional[CampaignStore]:
-    """The process-default store, or None when recording is off."""
-    global _env_store, _env_store_path
-    if _default_installed:
-        return None if _default_store is DISABLED else _default_store
     path = os.environ.get(STORE_ENV)
-    if path is None or path.lower() in _DISABLING_VALUES:
+    if path is None:
+        return default
+    if path.lower() in _DISABLING_VALUES:
         return None
-    if _env_store is None or _env_store_path != path:
-        try:
-            _env_store = CampaignStore(path)
-            _env_store_path = path
-        except Exception:
-            return None  # fail-soft: an unopenable store records nothing
-    return _env_store
-
-
-def resolve_store(
-    store: Union[CampaignStore, None, object]
-) -> Optional[CampaignStore]:
-    """An executor's effective store: explicit, default, or none."""
-    if store is DISABLED:
-        return None
-    if store is not None:
-        return store  # type: ignore[return-value]
-    return get_default_store()
+    return path
 
 
 def campaign_name(cache_tag: Optional[str], identity: str) -> str:
@@ -120,7 +61,7 @@ def campaign_name(cache_tag: Optional[str], identity: str) -> str:
 
 
 def record_sweep(
-    store: Union[CampaignStore, None, object],
+    store: Optional[CampaignStore],
     campaign: str,
     shards: Sequence,
     results: Sequence,
@@ -149,8 +90,7 @@ def record_sweep(
     message, when the write fails), so history ingestion is observable
     like everything else.
     """
-    target = resolve_store(store)
-    if target is None or not shards:
+    if store is None or not shards:
         return None
     if engine is None:
         engine = _sweep_engine(shards)
@@ -160,7 +100,7 @@ def record_sweep(
     if registry is not None and registry.enabled:
         metrics_snapshot = registry.as_dict()
     try:
-        run_id = target.record_run(
+        run_id = store.record_run(
             campaign,
             list(shards),
             list(results),
@@ -223,18 +163,3 @@ def stamp_artifact(result: Any) -> Any:
     stamped.setdefault("engine_backend", default_backend())
     stamped.setdefault("trial_batch_size", 1)
     return stamped
-
-
-def record_artifact(
-    name: str,
-    payload: Any,
-    store: Union[CampaignStore, None, object] = None,
-) -> Optional[int]:
-    """Record one benchmark artifact, fail-soft; returns its row id or None."""
-    target = resolve_store(store)
-    if target is None or not isinstance(payload, dict):
-        return None
-    try:
-        return target.record_artifact(name, payload)
-    except Exception:
-        return None

@@ -32,6 +32,10 @@ def _square_worker(shard: Shard) -> dict:
             "square": shard.params["x"] ** 2}
 
 
+def _nan_worker(shard: Shard) -> dict:
+    return {"index": shard.index, "ber": float("nan")}
+
+
 class TestShards:
     def test_seeds_deterministic_and_distinct(self):
         shards = make_shards(7, [{"x": i} for i in range(32)])
@@ -207,6 +211,31 @@ class TestRunnerObservability:
         assert counters["runner.shards.cached"] == 4
         assert counters["runner.shards.computed"] == 0
         assert counters["runner.cache.hits"] == 4
+
+    def test_cache_storage_failure_counted_not_fatal(self, tmp_path):
+        from repro.analysis.reporting import runner_summary
+        from repro.obs import MetricsRegistry
+
+        root = tmp_path / "not-a-dir"
+        root.write_text("a regular file where the cache root should be")
+        shards = make_shards(0, [{"x": i} for i in range(3)])
+        registry = MetricsRegistry()
+        rows = run_shards(_square_worker, shards, cache=ResultCache(root),
+                          cache_tag="obs/v3", metrics=registry)
+        assert rows == run_shards(_square_worker, shards)
+        errors = registry.counter("runner.cache.errors").value
+        assert errors > 0
+        assert f"cache write failed ({errors})" in runner_summary(registry)
+
+    def test_rejected_payload_counted(self, tmp_path):
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        run_shards(_nan_worker, make_shards(0, [{"x": 0}]),
+                   cache=ResultCache(tmp_path), cache_tag="obs/v4",
+                   metrics=registry)
+        assert registry.counter("runner.cache.rejected").value == 1
+        assert registry.counter("runner.cache.errors").value == 0
 
     def test_trace_events_recorded(self, tmp_path):
         from repro.obs import EventTrace

@@ -24,30 +24,22 @@ from repro.runner import (
     make_shards,
     resolve_runtime,
     run_shards,
-    set_default_runtime,
-    use_default_runtime,
 )
 from repro.runner.runtime import (
-    RUNTIME_ENV,
     PayloadRef,
     _ATTACHED,
     _guard_epoch,
     clear_attached_payloads,
-    get_default_runtime,
     load_payload,
-    runtime_configured,
 )
 from repro.runner.warmstart import _WARM_STATES, _memo_put
 
 
 @pytest.fixture(autouse=True)
-def _clean_runtime_state(monkeypatch):
-    monkeypatch.delenv(RUNTIME_ENV, raising=False)
-    set_default_runtime(None)
+def _clean_runtime_state():
     clear_warm_states()
     clear_attached_payloads()
     yield
-    set_default_runtime(None)
     clear_warm_states()
     clear_attached_payloads()
 
@@ -183,34 +175,11 @@ class TestEpochGuard:
 
 
 class TestResolution:
-    def test_explicit_beats_default(self):
-        with Runtime() as mine, Runtime() as installed:
-            with use_default_runtime(installed):
-                assert resolve_runtime(mine) is mine
-                assert resolve_runtime(None) is installed
-                assert resolve_runtime(FRESH) is None
-
-    def test_default_scope_restores_previous(self):
-        with Runtime() as outer, Runtime() as inner:
-            set_default_runtime(outer)
-            with use_default_runtime(inner):
-                assert resolve_runtime(None) is inner
-            assert resolve_runtime(None) is outer
-            set_default_runtime(None)
-            assert resolve_runtime(None) is None
-
-    def test_fresh_default_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(RUNTIME_ENV, "persistent")
-        with use_default_runtime(FRESH):
-            assert resolve_runtime(None) is None
-        env_rt = get_default_runtime()
-        assert env_rt is not None and not env_rt.closed
-        env_rt.close()
-
-    def test_env_validation_is_eager(self, monkeypatch):
-        monkeypatch.setenv(RUNTIME_ENV, "turbo")
-        with pytest.raises(ReproError, match="turbo"):
-            get_default_runtime()
+    def test_only_an_explicit_runtime_is_used(self):
+        with Runtime() as mine:
+            assert resolve_runtime(mine) is mine
+        assert resolve_runtime(None) is None
+        assert resolve_runtime(FRESH) is None
 
     def test_rejects_unknown_string_and_closed(self):
         with pytest.raises(ReproError, match="unknown runtime"):
@@ -219,13 +188,6 @@ class TestResolution:
         rt.close()
         with pytest.raises(ReproError, match="closed"):
             resolve_runtime(rt)
-
-    def test_runtime_configured_reflects_any_choice(self, monkeypatch):
-        assert not runtime_configured()
-        with use_default_runtime(FRESH):
-            assert runtime_configured()
-        monkeypatch.setenv(RUNTIME_ENV, "persistent")
-        assert runtime_configured()
 
 
 class _NoSpawn:

@@ -19,11 +19,9 @@ from repro.runner import (
     clear_warm_states,
     make_shards,
     run_shards,
-    set_default_runtime,
-    use_default_runtime,
 )
 from repro.runner.pool import _cache_key
-from repro.runner.runtime import RUNTIME_ENV, clear_attached_payloads
+from repro.runner.runtime import clear_attached_payloads
 from repro.search import EvalContext, ToyCliffObjective, make_driver
 from repro.store import CampaignStore
 
@@ -32,13 +30,10 @@ JOBS = (1, 2, 4)
 
 
 @pytest.fixture(autouse=True)
-def _clean_runtime_state(monkeypatch):
-    monkeypatch.delenv(RUNTIME_ENV, raising=False)
-    set_default_runtime(None)
+def _clean_runtime_state():
     clear_warm_states()
     clear_attached_payloads()
     yield
-    set_default_runtime(None)
     clear_warm_states()
     clear_attached_payloads()
 
@@ -154,11 +149,6 @@ class TestSearchTrajectoryEquivalence:
         assert _signature(persistent) == _signature(fresh)
         assert _signature(fresh) == _signature(_search(strategy, jobs=1))
 
-    def test_installed_default_runtime_changes_nothing(self, strategy):
-        baseline = _search(strategy, jobs=2, runtime=FRESH)
-        with Runtime() as rt, use_default_runtime(rt):
-            assert _signature(_search(strategy, jobs=2)) == _signature(baseline)
-
     def test_driver_owned_runtime_matches_fresh(self, strategy):
         """With nothing configured, run() provisions (and closes) its own."""
         assert _signature(_search(strategy, jobs=2)) == _signature(
@@ -180,3 +170,22 @@ class TestWarmStartEquivalence:
             assert rows == baseline
             if isinstance(runtime, Runtime):
                 runtime.close()
+
+
+class TestDriverOwnedRuntime:
+    def test_owned_exactly_when_unset_at_jobs_above_one(self, monkeypatch):
+        import repro.runner.runtime as runtime_module
+
+        opened = []
+
+        class Recording(Runtime):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(runtime_module, "Runtime", Recording)
+        _search(jobs=2)
+        assert len(opened) == 1 and opened[0].closed
+        _search(jobs=1)
+        _search(jobs=2, runtime=FRESH)  # an explicit FRESH opts out
+        assert len(opened) == 1

@@ -1,6 +1,7 @@
-"""HTTP front end end-to-end: routes, SSE, backpressure, restart."""
+"""HTTP front end end-to-end: routes, SSE, backpressure, restart, store."""
 
 import json
+import threading
 
 import pytest
 
@@ -50,6 +51,7 @@ class TestRoundTrip:
         assert result["runs"][0]["campaign"] == (
             "capacity_sweep/ntp+ntp/Core i7-6700"
         )
+        assert result["store_errors"] == 0
         assert registry.counter("service.jobs.completed").value == 1
 
     def test_duplicate_submission_is_cache_served(self, live):
@@ -197,3 +199,62 @@ class TestPriorityDispatch:
         finally:
             server.stop()
             queue.close()
+
+
+class TestCampaignStore:
+    def test_failed_store_write_is_counted_and_the_job_still_done(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.store import CampaignStore
+
+        def refuse(self, *args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(CampaignStore, "record_run", refuse)
+        queue = JobQueue(":memory:")
+        backend = LocalBackend(
+            cache_root=str(tmp_path / "cache"),
+            store_path=str(tmp_path / "store.sqlite"),
+        )
+        server = ServiceThread(queue, backend, workers=1)
+        try:
+            client = ServiceClient(server.host, server.port)
+            done = client.wait(client.submit(SPEC)["id"], timeout=300)
+            assert done["state"] == "done"
+            assert done["result"]["store_errors"] == 1
+            assert done["result"]["runs"] == []
+        finally:
+            server.stop()
+            queue.close()
+
+    def test_serve_records_into_env_store_from_every_thread(
+        self, tmp_path, monkeypatch
+    ):
+        """``repro serve`` with ``$REPRO_STORE`` and no ``--store``: jobs run
+        on different dispatcher threads must all land in the store."""
+        import repro.service
+        from repro.cli import main
+        from repro.store import STORE_ENV, CampaignStore
+
+        db = tmp_path / "env.sqlite"
+        monkeypatch.setenv(STORE_ENV, str(db))
+        summaries = []
+
+        async def two_jobs_on_two_threads(queue, backend, **kwargs):
+            for interval in (2100, 1800):
+                spec = JobSpec(experiment="capacity",
+                               params={"intervals": [interval], "n_bits": 16})
+                thread = threading.Thread(
+                    target=lambda: summaries.append(backend.run_job(spec))
+                )
+                thread.start()
+                thread.join()
+            backend.close()
+
+        monkeypatch.setattr(repro.service, "run_service", two_jobs_on_two_threads)
+        assert main(["serve", "--queue", ":memory:", "--no-cache"]) == 0
+        with CampaignStore(db) as store:
+            stored = [r.id for r in store.runs("capacity_sweep/ntp+ntp/Core i7-6700")]
+        assert len(stored) == 2
+        reported = [run["run_id"] for s in summaries for run in s.get("runs", [])]
+        assert sorted(reported) == sorted(stored)

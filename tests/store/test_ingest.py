@@ -1,4 +1,4 @@
-"""Store ingest: default resolution, fail-softness, and executor wiring."""
+"""Store ingest: the env helper, fail-softness, and executor wiring."""
 
 import importlib.util
 from pathlib import Path
@@ -12,28 +12,19 @@ from repro.obs import EventTrace, MetricsRegistry
 from repro.runner import clear_warm_states, make_shards, run_shards
 from repro.sim.machine import Machine
 from repro.store import (
-    DISABLED,
     STORE_ENV,
     CampaignStore,
     campaign_name,
-    get_default_store,
+    env_store_path,
     record_sweep,
-    resolve_store,
-    set_default_store,
     stamp_artifact,
-    use_default_store,
 )
-from repro.store import ingest as ingest_module
 
 
 @pytest.fixture(autouse=True)
 def _isolated_defaults(monkeypatch):
-    """Each test sees no default store, no env store, fresh warm memos."""
+    """Each test sees no ``$REPRO_STORE`` and fresh warm memos."""
     monkeypatch.delenv(STORE_ENV, raising=False)
-    monkeypatch.setattr(ingest_module, "_default_store", None)
-    monkeypatch.setattr(ingest_module, "_default_installed", False)
-    monkeypatch.setattr(ingest_module, "_env_store", None)
-    monkeypatch.setattr(ingest_module, "_env_store_path", None)
     clear_warm_states()
     yield
     clear_warm_states()
@@ -48,49 +39,19 @@ def _shards(n=3, seed=2):
 
 
 class TestDefaultResolution:
+    """``env_store_path``: the one reader of ``$REPRO_STORE``."""
+
     def test_no_default_records_nothing(self):
-        assert get_default_store() is None
-        assert resolve_store(None) is None
-
-    def test_explicit_store_wins(self):
-        with CampaignStore() as explicit, CampaignStore() as installed:
-            set_default_store(installed)
-            try:
-                assert resolve_store(explicit) is explicit
-                assert resolve_store(None) is installed
-            finally:
-                set_default_store(None)
-
-    def test_disabled_suppresses_even_with_default(self):
-        with CampaignStore() as installed:
-            set_default_store(installed)
-            try:
-                assert resolve_store(DISABLED) is None
-            finally:
-                set_default_store(None)
-
-    def test_use_default_store_scopes_and_restores(self):
-        with CampaignStore() as store:
-            with use_default_store(store):
-                assert get_default_store() is store
-            assert get_default_store() is None
-
-    def test_disabled_default_overrides_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(STORE_ENV, str(tmp_path / "env.sqlite"))
-        with use_default_store(DISABLED):
-            assert get_default_store() is None
-        assert get_default_store() is not None
-
-    def test_env_var_opens_store(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(STORE_ENV, str(tmp_path / "env.sqlite"))
-        store = get_default_store()
-        assert store is not None
-        assert store is get_default_store()  # memoized per path
+        assert env_store_path() is None
+        assert env_store_path(default="bench.sqlite") == "bench.sqlite"
+        shards = _shards(1)
+        assert record_sweep(None, "c", shards, [_square(shards[0])],
+                            executor="pool") is None
 
     @pytest.mark.parametrize("value", ["", "0", "off", "none", "OFF"])
     def test_disabling_env_values(self, monkeypatch, value):
         monkeypatch.setenv(STORE_ENV, value)
-        assert get_default_store() is None
+        assert env_store_path(default="bench.sqlite") is None
 
 
 class TestCampaignName:
@@ -268,4 +229,15 @@ class TestBenchmarkConftestArtifact:
             assert len(history) == 1
             assert history[0].payload["speedup"] == 3.0
             assert "engine_backend" in history[0].payload
+        assert (tmp_path / "demo.json").exists()
+
+    def test_unrecorded_artifact_is_reported(self, tmp_path, monkeypatch, capsys):
+        conftest = self._load_conftest()
+        monkeypatch.setattr(conftest, "ARTIFACT_DIR", tmp_path)
+        store = CampaignStore()
+        store.close()  # every write now fails
+        monkeypatch.setattr(conftest, "_STORE", store)
+        conftest.artifact("demo", {"speedup": 3.0})
+        out = capsys.readouterr().out
+        assert "(artifact demo not recorded: " in out
         assert (tmp_path / "demo.json").exists()

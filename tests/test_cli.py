@@ -180,13 +180,9 @@ class TestStoreCommands:
 
     @pytest.fixture(autouse=True)
     def _isolated_store_env(self, monkeypatch):
-        from repro.store import STORE_ENV, ingest
+        from repro.store import STORE_ENV
 
         monkeypatch.delenv(STORE_ENV, raising=False)
-        monkeypatch.setattr(ingest, "_default_store", None)
-        monkeypatch.setattr(ingest, "_default_installed", False)
-        monkeypatch.setattr(ingest, "_env_store", None)
-        monkeypatch.setattr(ingest, "_env_store_path", None)
 
     def _sweep(self, db):
         return main(["fig2-sweep", "--trials", "2", "--no-cache",
@@ -202,6 +198,27 @@ class TestStoreCommands:
             campaigns = store.campaigns()
         assert [c.name for c in campaigns] == ["insertion_sweep/Core i7-6700"]
         assert campaigns[0].runs == 1
+
+    def test_env_store_records_the_run(self, capsys, tmp_path, monkeypatch):
+        from repro.store import STORE_ENV, CampaignStore
+
+        db = tmp_path / "env.sqlite"
+        monkeypatch.setenv(STORE_ENV, str(db))
+        assert main(["fig2-sweep", "--trials", "2", "--no-cache"]) == 0
+        capsys.readouterr()
+        with CampaignStore(db) as store:
+            assert len(store.runs("insertion_sweep/Core i7-6700")) == 1
+
+    @pytest.mark.parametrize("value", ["0", "off", "none"])
+    def test_disabling_env_values_record_nothing(self, capsys, tmp_path,
+                                                 monkeypatch, value):
+        from repro.store import STORE_ENV
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(STORE_ENV, value)
+        assert main(["fig2-sweep", "--trials", "2", "--no-cache"]) == 0
+        capsys.readouterr()
+        assert list(tmp_path.iterdir()) == []  # no store file anywhere
 
     def test_no_store_overrides_env(self, capsys, tmp_path, monkeypatch):
         from repro.store import STORE_ENV
@@ -300,3 +317,22 @@ class TestSearchCommand:
     def test_bad_strategy_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["search", "--strategy", "simulated-annealing"])
+
+
+class TestEnvironmentReads:
+    def test_only_the_edges_read_the_environment(self):
+        """Below the CLI, only the store, engine and cache env helpers look."""
+        import re
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        readers = {
+            path.relative_to(root).as_posix()
+            for path in root.rglob("*.py")
+            if re.search(r"os\.environ|os\.getenv", path.read_text())
+        }
+        assert readers <= {
+            "cli.py", "store/ingest.py", "engine/__init__.py", "runner/cache.py",
+        }
