@@ -18,20 +18,29 @@ from repro.store import CampaignStore, env_store_path, stamp_artifact
 #: Machine-readable copies of benchmark results land here.
 ARTIFACT_DIR = Path(__file__).parent / "bench_artifacts"
 
-#: Benchmark runs always record into a campaign store: ``$REPRO_STORE``
-#: when set, else a database next to the JSON artifacts.  Fail-soft — an
-#: unopenable store costs the history entry, never the benchmark.
+#: Sentinel for a campaign store not opened yet.
+_UNOPENED = object()
+
+#: The benchmarks' campaign store, opened by the first :func:`artifact`.
+_STORE = _UNOPENED
+
+
 def _bench_store():
-    path = env_store_path(default=ARTIFACT_DIR / "campaigns.sqlite")
-    if path is None:
-        return None
-    try:
-        return CampaignStore(path)
-    except Exception:  # pragma: no cover - storage health must not gate benches
-        return None
+    """The campaign store benchmark runs record into, opened on first use.
 
-
-_STORE = _bench_store()
+    ``$REPRO_STORE`` when set, else a database next to the JSON artifacts.
+    Opening lazily keeps a bare import (test collection) from creating a
+    file.  Fail-soft — an unopenable store costs the history entry, never
+    the benchmark.
+    """
+    global _STORE
+    if _STORE is _UNOPENED:
+        path = env_store_path(default=ARTIFACT_DIR / "campaigns.sqlite")
+        try:
+            _STORE = CampaignStore(path) if path is not None else None
+        except Exception:  # pragma: no cover - storage health must not gate benches
+            _STORE = None
+    return _STORE
 
 
 def report(title: str, body: str) -> None:
@@ -59,10 +68,13 @@ def artifact(name: str, result) -> None:
         save_result(result, ARTIFACT_DIR / f"{name}.json")
     except Exception as error:  # pragma: no cover - artifacts are optional
         print(f"(artifact {name} not saved: {error})")
-    if _STORE is None or not isinstance(result, dict):
+    if not isinstance(result, dict):
+        return
+    store = _bench_store()
+    if store is None:
         return
     try:
-        _STORE.record_artifact(name, result)
+        store.record_artifact(name, result)
     except Exception as error:  # the history entry is optional too
         print(f"(artifact {name} not recorded: {error})")
 

@@ -528,14 +528,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_chaos(args: argparse.Namespace) -> int:
     from .experiments.chaos_sweep import run_chaos_sweep
 
-    # The chaos sweep takes neither a store nor a runtime: it records
-    # nothing and spawns a pool per parallel act.
     runner = args.runner
     result = run_chaos_sweep(
         _machine_factory(args), n_bits=args.bits,
         crash_probability=args.crash, retries=args.retries,
         seed=args.seed, jobs=args.jobs, result_cache=runner["result_cache"],
         metrics=runner["metrics"], trace=runner["trace"], plan=runner["faults"],
+        store=runner["store"], runtime=runner["runtime"],
     )
     print(format_table(result.header(), result.rows(),
                        title="Chaos — channel BER/delivery vs fault rate"))

@@ -37,7 +37,7 @@ import os
 from typing import Optional
 
 from ..errors import ConfigurationError
-from .batch import BatchMachine, BatchResult, run_trace_batch
+from .batch import BatchMachine, BatchResult, TrialView, run_trace_batch
 from .compile import CompiledTrace, OP_NAMES, compile_trace
 from .planes import PlaneManifest, export_planes, pack_planes, unpack_planes
 from .soa import execute, hierarchy_arrays, pmu_vectors, supports
@@ -87,6 +87,7 @@ __all__ = [
     "ENGINE_ENV_VAR",
     "OP_NAMES",
     "PlaneManifest",
+    "TrialView",
     "compile_trace",
     "default_backend",
     "execute",

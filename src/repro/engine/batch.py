@@ -46,7 +46,7 @@ common pollution-state snapshot.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -1316,13 +1316,27 @@ def run_trace_batch(machine, traces, record: bool = False) -> "BatchResult":
     )
 
 
+class TrialView(NamedTuple):
+    """One trial's read-only outcome: its end clock and recorded results.
+
+    :meth:`BatchResult.trial` builds one from a batch without touching
+    the machine; a scalar run builds the same view from
+    ``(machine.clock, tuple(results))``, so a reducer reading only the
+    view serves every engine.
+    """
+
+    clock: int
+    results: tuple
+
+
 class BatchResult:
     """Per-trial outcomes of one :func:`run_trace_batch` call.
 
     Holds references into the machine's batch planes, so it is only valid
     until the machine runs another batch (guarded by an epoch counter).
-    :meth:`apply` requires the machine to be back at the batch's start
-    state — restore the start checkpoint between trials::
+    :meth:`trial` reads a trial's clock and results without touching the
+    machine.  :meth:`apply` requires the machine to be back at the batch's
+    start state — restore the start checkpoint between trials::
 
         start = machine.checkpoint()
         result = run_trace_batch(machine, traces, record=True)
@@ -1399,6 +1413,14 @@ class BatchResult:
             else:
                 append(entry)
         return out
+
+    def trial(self, t: int) -> TrialView:
+        """Trial ``t``'s clock and results (``record=True``) as a view.
+
+        Reads only this result, never the machine, so it needs no
+        restore or :meth:`apply`.
+        """
+        return TrialView(self.clock(t), tuple(self.results(t)))
 
     def pmu_deltas(self, t: int) -> list:
         """Per-core PMU counter deltas for trial ``t``."""
@@ -1611,6 +1633,7 @@ class BatchMachine:
 __all__ = [
     "BatchMachine",
     "BatchResult",
+    "TrialView",
     "run_trace_batch",
     "supports",
 ]

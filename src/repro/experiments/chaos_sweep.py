@@ -137,6 +137,8 @@ def run_chaos_sweep(
     trace=None,
     plan: Optional[FaultPlan] = None,
     engine: Optional[str] = None,
+    store=None,
+    runtime=None,
 ) -> ChaosSweepResult:
     """Run both chaos acts and score them.
 
@@ -146,7 +148,8 @@ def run_chaos_sweep(
     skip the very injection being exercised — while act-2 points cache
     under their plan, like any other sweep point.  Shards whose injected
     crashes exhaust ``retries`` surface as ``runner_failures`` (and error
-    records), never as a sweep abort.
+    records), never as a sweep abort.  Only act 2 records into ``store``
+    (one run per call); both parallel runs share ``runtime``'s pool.
     """
     if fault_rates is None:
         fault_rates = DEFAULT_FAULT_RATES
@@ -176,7 +179,7 @@ def run_chaos_sweep(
     injected = run_shards(
         _capacity_point_worker, shards, jobs=jobs,
         metrics=registry, trace=trace,
-        faults=crash_plan, retries=retries,
+        faults=crash_plan, retries=retries, runtime=runtime,
     )
     runner_identical = injected == baseline
     act1_retries = registry.counter("runner.retries").value - retries_before
@@ -204,7 +207,7 @@ def run_chaos_sweep(
         _chaos_channel_worker, channel_shards, jobs=jobs,
         cache=result_cache, cache_tag="chaos_sweep/v1",
         metrics=registry, trace=trace,
-        faults=crash_plan, retries=retries,
+        faults=crash_plan, retries=retries, store=store, runtime=runtime,
     )
     result = ChaosSweepResult(
         platform=probe.config.name,

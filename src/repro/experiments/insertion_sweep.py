@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import random
 from typing import Dict, List, Optional, Sequence
 
-from ..engine import resolve_backend
+from ..engine import TrialView, resolve_backend
 from ..errors import AttackError
 from ..faults import FaultPlan
 from ..runner import (
@@ -133,26 +133,27 @@ def _sweep_trace(machine: Machine, context: dict, shard: Shard) -> list:
     return ops
 
 
-def _sweep_reduce(machine: Machine, context: dict, shard: Shard, results: list) -> dict:
+def _sweep_reduce(trial: TrialView, context: dict, shard: Shard) -> dict:
     """Classify the trial from the recorded reload latency."""
     p = shard.params
-    reload_result = results[-1]
+    reload_result = trial.results[-1]
     return {
         "position": p["position"],
         "trial": p["trial"],
         "latency": reload_result.latency,
         "evicted": reload_result.latency > context["threshold"],
-        "clock": machine.clock,
+        "clock": trial.clock,
     }
 
 
 def _sweep_body(machine: Machine, context: dict, shard: Shard) -> dict:
-    """Scalar fallback body: the same trace through ``run_trace``."""
+    """Scalar fallback body: the same trace through ``run_trace``,
+    reduced from the same view the batch path builds."""
     trace = _sweep_trace(machine, context, shard)
     results = machine.run_trace(
         trace, record=True, backend=shard.params.get("engine")
     )
-    return _sweep_reduce(machine, context, shard, results)
+    return _sweep_reduce(TrialView(machine.clock, tuple(results)), context, shard)
 
 
 _PREFIX_KEYS = ("config", "machine_seed", "engine")

@@ -8,8 +8,9 @@ restored checkpoint and reduces the recorded results — a
 result reducer, so :func:`~repro.runner.pool.run_shards` can run a whole
 chunk of trials through the trial-batched engine (:mod:`repro.engine.batch`)
 with :func:`run_batched`: **one** checkpoint restore broadcast across the
-trial axis, one merged program, per-trial results extracted and reduced
-individually.
+trial axis, one merged program, and each trial reduced straight from its
+:class:`~repro.engine.batch.TrialView` (end clock and recorded results).
+No trial's end state is ever written back into the machine.
 
 Everything else about the runner contract is preserved bit-for-bit:
 
@@ -33,7 +34,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..engine import run_trace_batch
+from ..engine import TrialView, run_trace_batch
 from ..errors import ReproError
 from ..faults import FaultPlan, ShardFaultInjector
 from ..obs import MetricsRegistry
@@ -47,12 +48,12 @@ from .warmstart import PrefixPlan, Setup
 #: Derive all per-trial variation from the shard (seed, params).
 MakeTrace = Callable[[Any, Any, Shard], Sequence[Tuple[str, int, int]]]
 
-#: ``reduce(machine, context, shard, results) -> result dict``: turn the
-#: trial's recorded :class:`MemOpResult` list into the shard's result.
-#: The machine holds the trial's end state (checkpoint restored + the
-#: trial applied), so reducers may also read stats, PMU counters, or the
-#: clock.
-Reduce = Callable[[Any, Any, Shard, list], Dict[str, Any]]
+#: ``reduce(trial, context, shard) -> result dict``: turn the trial's
+#: :class:`~repro.engine.batch.TrialView` (end clock and recorded
+#: :class:`MemOpResult` tuple) into the shard's result.  Reducers read
+#: only the view, never the machine: the batch's trial end states are
+#: never written back into it.
+Reduce = Callable[[TrialView, Any, Shard], Dict[str, Any]]
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,6 @@ class TraceBatchPlan(PrefixPlan):
     batch_size: int = 64
 
     executor = "batch"
-    restores_per_trial = 2
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -89,13 +89,15 @@ class TraceBatchPlan(PrefixPlan):
         return "batch"
 
     def run_trial(self, machine, context, checkpoint, shard: Shard) -> Dict[str, Any]:
-        """One shard as a one-trial batch."""
+        """One shard as a one-trial batch, reduced from its view.
+
+        The machine is not left at the trial's end state; every trial
+        starts by restoring ``checkpoint``.
+        """
         machine.restore(checkpoint)
         trace = self.make_trace(machine, context, shard)
         result = run_trace_batch(machine, [trace], record=True)
-        machine.restore(checkpoint)
-        result.apply(0)
-        return self.reduce(machine, context, shard, result.results(0))
+        return self.reduce(result.trial(0), context, shard)
 
 
 def run_batched(
@@ -112,10 +114,13 @@ def run_batched(
 
     ``prefix_jsons`` names each pending shard's prefix state in
     ``states``.  Per prefix group, each chunk of at most ``plan.batch_size``
-    trials costs one restore and one ``run_trace_batch``, then one restore
-    per trial to apply and reduce it.  Faults fire before any work, keyed
+    trials costs one restore and one ``run_trace_batch``; every trial is
+    reduced from :meth:`BatchResult.trial`, so the machine is never
+    rebuilt to a trial's end state (each chunk and each retry starts by
+    restoring the checkpoint).  Faults fire before any work, keyed
     ``(index, 0)``.  A shard that fails in its batch is handed to
-    ``retry(shard, error)`` once every batch has run.
+    ``retry(shard, error)`` once every batch has run; a recovered retry
+    costs one more restore.
     """
     injector = ShardFaultInjector(faults) if faults is not None else None
     groups: Dict[str, List[Shard]] = {}
@@ -159,11 +164,8 @@ def run_batched(
             share = batch_elapsed / len(traced)
             for t, shard in enumerate(traced):
                 trial_start = time.perf_counter()
-                machine.restore(checkpoint)
-                restores += 1
-                batch.apply(t)
                 try:
-                    result = plan.reduce(machine, context, shard, batch.results(t))
+                    result = plan.reduce(batch.trial(t), context, shard)
                 except Exception as error:
                     pulled.append((shard, error))
                     continue
@@ -176,7 +178,7 @@ def run_batched(
     for shard, error in pulled:
         outcome = outcomes[shard.index] = retry(shard, error)
         if outcome[1] is None:
-            restores += plan.restores_per_trial
+            restores += 1
     registry.counter("runner.batch.batches").inc(batches)
     registry.counter("runner.batch.trials").inc(trials)
     return [outcomes[shard.index] for shard in pending], restores

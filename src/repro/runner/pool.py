@@ -350,7 +350,8 @@ def run_shards(
         else:
             computed = [call(shard) for shard in pending]
         if plan is not None:
-            restores = plan.restores_per_trial * len(pending)
+            # Every plan's run_trial restores the checkpoint once.
+            restores = len(pending)
 
     shard_seconds = registry.histogram("runner.shard.seconds", _SHARD_SECONDS_BUCKETS)
     for shard, (result, failure, elapsed, attempts) in zip(pending, computed):

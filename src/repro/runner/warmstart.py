@@ -72,8 +72,6 @@ class PrefixPlan:
 
     #: The run's executor label in the campaign store.
     executor = ""
-    #: Checkpoint restores one :meth:`run_trial` costs.
-    restores_per_trial = 1
 
     def prefix_of(self, shard: Shard) -> Dict[str, Any]:
         """The shard's prefix params (the setup's input)."""

@@ -21,7 +21,7 @@ from repro.cache.plru import BitPLRU, TreePLRU
 from repro.cache.qlru import QuadAgeLRU
 from repro.cache.srrip import SRRIP
 from repro.config import SKYLAKE, CacheGeometry, PlatformConfig
-from repro.engine import BatchMachine, run_trace_batch
+from repro.engine import BatchMachine, TrialView, run_trace_batch
 from repro.errors import SimulationError
 from repro.faults import FaultPlan
 from repro.sim.machine import Machine
@@ -138,6 +138,7 @@ def assert_batch_matches_scalar(
         batch_host.restore(start)
         result.apply(t)
         assert batch_host.clock == soa_ref.clock
+        assert result.trial(t) == (batch_host.clock, tuple(trial_results))
         assert batch_host.hierarchy.snapshot() == soa_ref.hierarchy.snapshot()
         assert (
             batch_host.hierarchy.stats_tuple() == soa_ref.hierarchy.stats_tuple()
@@ -183,6 +184,39 @@ def test_pollution_streams_identical_per_trial():
     faults = FaultPlan(seed=13, pollution_probability=0.05, pollution_burst=3)
     traces = divergent_traces(21, trials=4, length=600)
     assert_batch_matches_scalar(TINY, traces, seed=3, faults=faults)
+
+
+@pytest.mark.parametrize("faults", [
+    None,
+    FaultPlan(seed=17, pollution_probability=0.05, pollution_burst=3),
+], ids=["clean", "polluted"])
+def test_trial_view_matches_rebuilt_machine(faults):
+    """``BatchResult.trial(t)`` replaces rebuilding trial ``t`` with
+    ``restore(start)`` + ``apply(t)``: its clock and results must be what
+    the rebuilt machine and a scalar replay from ``start`` report."""
+    host = scalar_machine(TINY, "object", seed=6, faults=faults)
+    host.run_trace(mixed_trace(90, 300))
+    start = host.checkpoint()
+    traces = (
+        coherent_traces(91, trials=3, length=400)
+        + divergent_traces(92, trials=3, length=250)
+        + [mixed_trace(93, 120)]
+    )
+    result = run_trace_batch(host, traces, record=True)
+    views = [result.trial(t) for t in range(result.trials)]
+    assert host.checkpoint().digest() == start.digest()  # views touch nothing
+    for t, (trace, view) in enumerate(zip(traces, views)):
+        assert isinstance(view, TrialView)
+        host.restore(start)
+        result.apply(t)
+        assert view.clock == host.clock
+        assert view.results == tuple(result.results(t))
+        replay = scalar_machine(TINY, "object", seed=6, faults=faults)
+        replay.restore(start)
+        assert list(view.results) == replay.run_trace(trace, record=True)
+        assert view.clock == replay.clock
+    with pytest.raises(AttributeError):
+        views[0].clock = 0
 
 
 def test_skylake_eviction_pressure():

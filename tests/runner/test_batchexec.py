@@ -19,6 +19,7 @@ from repro.config import SKYLAKE
 from repro.errors import ReproError
 from repro.experiments.insertion_sweep import (
     BATCH_PLAN,
+    SCALAR_PLAN,
     run_insertion_sweep,
 )
 from repro.faults import FaultPlan
@@ -52,16 +53,17 @@ def _sweep(engine, **kwargs):
     return run_insertion_sweep(_factory, engine=engine, **defaults)
 
 
-def _shards(engine, positions=3, trials=4, seed=9):
-    probe = _factory()
+def _shards(engine, positions=3, trials=4, seed=9, machine_seeds=(11,)):
+    """One prefix group per machine seed, ``positions × trials`` shards each."""
     return make_shards(seed, [
         {
-            "config": probe.config,
-            "machine_seed": probe.seed,
+            "config": SKYLAKE,
+            "machine_seed": machine_seed,
             "engine": engine,
             "position": position,
             "trial": trial,
         }
+        for machine_seed in machine_seeds
         for position in range(positions)
         for trial in range(trials)
     ])
@@ -94,6 +96,51 @@ def test_batch_size_is_invisible_in_results():
     tiny = _sweep("batch", batch_size=1)
     ragged = _sweep("batch", batch_size=3)
     assert full.latencies == tiny.latencies == ragged.latencies
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint restores: trials reduce from the batch result, not a rebuild
+
+
+def _restores(plan, shards, **kwargs):
+    registry = MetricsRegistry()
+    trace = EventTrace()
+    rows = run_shards(plan, shards, metrics=registry, trace=trace, **kwargs)
+    return rows, registry.counter("runner.checkpoint.restores").value, trace
+
+
+@pytest.mark.parametrize("batch_size,chunks", [(1, 18), (7, 4), (64, 2)])
+def test_inline_batch_restores_once_per_chunk(batch_size, chunks):
+    """Two prefix groups of 9 trials: one restore per chunk per group,
+    none per trial, and the rows of the scalar plan."""
+    plan = dataclasses.replace(BATCH_PLAN, batch_size=batch_size)
+    seeds = (11, 12)
+    rows, restores, _ = _restores(
+        plan, _shards("batch", trials=3, machine_seeds=seeds)
+    )
+    assert restores == chunks
+    scalar_rows, scalar_restores, _ = _restores(
+        SCALAR_PLAN, _shards("soa", trials=3, machine_seeds=seeds)
+    )
+    assert rows == scalar_rows
+    assert scalar_restores == len(rows)
+
+
+def test_retried_shard_adds_one_restore():
+    plan = FaultPlan(seed=3, crash_probability=0.25)
+    rows, restores, trace = _restores(
+        BATCH_PLAN, _shards("batch"), faults=plan, retries=4
+    )
+    retried = [e for e in trace.events if e.name == "runner.shard.retried"]
+    assert 0 < len(retried) < len(rows)
+    assert restores == 1 + len(retried)
+    clean, _, _ = _restores(BATCH_PLAN, _shards("batch"))
+    assert rows == clean
+
+
+def test_pool_path_restores_once_per_trial():
+    rows, restores, _ = _restores(BATCH_PLAN, _shards("batch"), jobs=2)
+    assert restores == len(rows) == 12
 
 
 # ---------------------------------------------------------------------------

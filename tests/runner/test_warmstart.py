@@ -93,7 +93,7 @@ STUB_PLAN = WarmStartPlan(
 STUB_BATCH_PLAN = TraceBatchPlan(
     setup=_stub_setup,
     make_trace=lambda machine, context, shard: [],
-    reduce=lambda machine, context, shard, results: {},
+    reduce=lambda trial, context, shard: {},
     prefix_keys=("base",),
 )
 

@@ -217,6 +217,18 @@ class TestBenchmarkConftestArtifact:
         spec.loader.exec_module(module)
         return module
 
+    def test_store_opens_on_first_artifact_not_at_import(self, tmp_path,
+                                                         monkeypatch):
+        db = tmp_path / "bench.sqlite"
+        monkeypatch.setenv(STORE_ENV, str(db))
+        conftest = self._load_conftest()
+        assert not db.exists()
+        monkeypatch.setattr(conftest, "ARTIFACT_DIR", tmp_path / "artifacts")
+        conftest.artifact("demo", {"speedup": 3.0})
+        with CampaignStore(db) as store:
+            assert len(store.artifacts("demo")) == 1
+        conftest._STORE.close()
+
     def test_artifact_does_not_mutate_input(self, tmp_path, monkeypatch):
         conftest = self._load_conftest()
         monkeypatch.setattr(conftest, "ARTIFACT_DIR", tmp_path)

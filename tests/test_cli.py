@@ -108,6 +108,20 @@ class TestFaultInjection:
         assert "0 unrecovered shard(s)" in out
         assert "fault rate" in out
 
+    def test_chaos_records_one_run_into_store(self, capsys, tmp_path,
+                                              monkeypatch):
+        """Only act 2 records: the baseline and act 1 add no run."""
+        from repro.store import STORE_ENV, CampaignStore
+
+        monkeypatch.delenv(STORE_ENV, raising=False)
+        db = tmp_path / "chaos.sqlite"
+        assert main(["chaos", "--bits", "8", "--no-cache", "--jobs", "2",
+                     "--store", str(db)]) == 0
+        assert "store write failed" not in capsys.readouterr().err
+        with CampaignStore(db) as store:
+            campaigns = store.campaigns()
+        assert [(c.name, c.runs) for c in campaigns] == [("chaos_sweep", 1)]
+
     def test_chaos_defaults(self):
         args = build_parser().parse_args(["chaos"])
         assert args.retries == 3  # chaos retries by default; sweeps don't
