@@ -39,7 +39,7 @@ from ..errors import ReproError
 from ..faults import FaultPlan, ShardFaultInjector
 from ..obs import MetricsRegistry
 from .shard import Shard
-from .warmstart import PrefixPlan, Setup
+from .warmstart import PrefixPlan, Setup, WarmState
 
 #: ``make_trace(machine, context, shard) -> ops``: build the shard's trace
 #: (a list of ``(op, core, addr)`` tuples).  MUST be read-only on the
@@ -104,7 +104,7 @@ def run_batched(
     plan: TraceBatchPlan,
     pending: List[Shard],
     prefix_jsons: List[str],
-    states: Dict[str, tuple],
+    states: Dict[str, WarmState],
     faults: Optional[FaultPlan],
     retry: Callable[[Shard, Exception], tuple],
     registry: MetricsRegistry,
@@ -130,7 +130,8 @@ def run_batched(
     pulled: List[Tuple[Shard, Exception]] = []
     restores = batches = trials = 0
     for prefix_json, members in groups.items():
-        machine, context, checkpoint = states[prefix_json]
+        state = states[prefix_json]
+        machine, context, checkpoint = state.machine, state.context, state.checkpoint
         for first in range(0, len(members), plan.batch_size):
             batch_start = time.perf_counter()
             ready: List[Shard] = []

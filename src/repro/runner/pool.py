@@ -281,7 +281,7 @@ def run_shards(
         shipped = None
         if rt is not None and prefixes.states:
             shipped = rt.put_payload(
-                {key: state[2] for key, state in prefixes.states.items()},
+                {key: state.checkpoint for key, state in prefixes.states.items()},
                 registry=registry,
             )
         worker = PlanWorker(plan, prefixes.digests, checkpoints=shipped)

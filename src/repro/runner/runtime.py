@@ -14,7 +14,7 @@ A :class:`Runtime` keeps the expensive parts alive across
 
 * **Reusable pool** — worker processes spawn lazily on the first parallel
   batch and survive until :meth:`Runtime.close`.  Per-worker state (the
-  warm-start FIFO memo, attached payload segments, interned traces)
+  warm-start LRU memo, attached payload segments, interned traces)
   persists with them, so a 40-round search pays each prefix build at most
   once per worker instead of once per round.  An *epoch* generation guard
   (:meth:`Runtime.bump_epoch`) clears that state on demand so nothing can
@@ -207,10 +207,11 @@ def clear_attached_payloads() -> None:
 def _guard_epoch(token: int, epoch: int) -> None:
     """Reset per-process persistent state when the runtime's epoch moved.
 
-    Warm-start memo keys embed checkpoint digests, so stale entries can
-    never produce wrong results — but a long-lived worker could hoard
-    state from sweeps that will never run again.  The epoch guard makes
-    invalidation explicit: one bump and every worker starts clean.
+    Warm-start memo entries carry checkpoint digests that every worker
+    lookup checks against the parent's, so stale entries can never produce
+    wrong results — but a long-lived worker could hoard state from sweeps
+    that will never run again.  The epoch guard makes invalidation
+    explicit: one bump and every worker starts clean.
     """
     seen = _EPOCHS.get(token)
     if seen == epoch:

@@ -17,19 +17,25 @@ retry.  Checkpoint digests join the result-cache key, so warm and cold
 runs of the same computation never collide in the cache under a changed
 prefix.
 
-Worker processes keep a small per-process memo of built prefix states.  On
-fork-start platforms (Linux) children inherit the parent's memo, so a
-``jobs > 1`` sweep pays each prefix once in the parent and zero times in
-the pool; spawn-start platforms rebuild lazily per process.
+Every process keeps a small memo of built prefix states, and it outlives
+the sweep that built them: a later :func:`run_shards` call over the same
+plan and prefix (the next round of a search, a rerun) restores the memoized
+checkpoint instead of running ``setup`` again.  That is the same contract
+as sharing one build across the trials of one sweep, since every trial
+starts by restoring the checkpoint.  On fork-start platforms (Linux)
+children inherit the parent's memo, so a ``jobs > 1`` sweep pays each
+prefix once in the parent and zero times in the pool; spawn-start
+platforms rebuild lazily per process.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import ReproError
 from ..obs import MetricsRegistry
@@ -49,17 +55,50 @@ Body = Callable[[Any, Any, Shard], Dict[str, Any]]
 _PREFIX_SECONDS_BUCKETS = (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0)
 
 #: Per-process cap on memoized prefix states (machine + checkpoint each);
-#: evicted FIFO.  Sweeps group shards by prefix, so in practice a process
-#: only ever needs the handful of prefixes routed to it.
+#: the least recently used is evicted first.  Sweeps group shards by
+#: prefix, so in practice a process only ever needs the handful of
+#: prefixes routed to it.
 _MAX_WARM_STATES = 16
 
-#: prefix key -> (machine, context, checkpoint), per process.
-_WARM_STATES: Dict[tuple, tuple] = {}
+
+class WarmState(NamedTuple):
+    """One built prefix: the live objects and the checkpoint they restore."""
+
+    machine: Any
+    context: Any
+    checkpoint: Any
+    #: ``checkpoint.digest()``; lookups on behalf of a sweep accept the
+    #: entry only when it equals the digest that sweep keyed its cache with.
+    digest: str
+    #: Wall time the build took, credited to ``saved_seconds`` on reuse.
+    build_seconds: float
+
+
+#: memo key (see :func:`_memo_key`) -> :class:`WarmState`, least recently
+#: used first, per process.
+_WARM_STATES: "OrderedDict[tuple, WarmState]" = OrderedDict()
+
+#: Guards every lookup, insert, LRU refresh and eviction of
+#: ``_WARM_STATES``: ``repro serve`` runs inline sweeps on several threads
+#: of one process, all sharing the memo.
+_WARM_LOCK = threading.Lock()
+
+
+def _reset_lock_after_fork() -> None:
+    # A fork taken while another thread held the lock would leave the
+    # child's copy locked forever.
+    global _WARM_LOCK
+    _WARM_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_lock_after_fork)
 
 
 def clear_warm_states() -> None:
     """Drop this process's memoized prefix states (test isolation hook)."""
-    _WARM_STATES.clear()
+    with _WARM_LOCK:
+        _WARM_STATES.clear()
 
 
 class PrefixPlan:
@@ -126,8 +165,13 @@ class WarmStartPlan(PrefixPlan):
         return self.body(machine, context, shard)
 
 
-def _memo_key(identity: str, prefix_json: str, digest: str) -> tuple:
+def _memo_key(plan: PrefixPlan, prefix_json: str) -> tuple:
     """Memo key for one prefix state, qualified by the calling thread.
+
+    The key names everything the build is a function of: the plan (its
+    identity *and* its ``setup``, since two plans may share a body but
+    not a setup) and the prefix params.  The checkpoint digest lives in
+    the entry, not the key, so a prefix is found without rebuilding it.
 
     Memoized machines are mutable and restored *in place* before every
     body, so a state entry must never be shared between threads — two
@@ -137,13 +181,24 @@ def _memo_key(identity: str, prefix_json: str, digest: str) -> tuple:
     fork-start children are cloned from the thread that built the parent
     prefixes, so memo inheritance across the fork still works.
     """
-    return (threading.get_ident(), identity, prefix_json, digest)
+    return (threading.get_ident(), plan.identity(), plan.setup, prefix_json)
 
 
-def _memo_put(key: tuple, state: tuple) -> None:
-    if len(_WARM_STATES) >= _MAX_WARM_STATES:
-        _WARM_STATES.pop(next(iter(_WARM_STATES)))
-    _WARM_STATES[key] = state
+def _memo_get(key: tuple) -> Optional[WarmState]:
+    """The memoized state under ``key``, refreshed as most recently used."""
+    with _WARM_LOCK:
+        state = _WARM_STATES.get(key)
+        if state is not None:
+            _WARM_STATES.move_to_end(key)
+        return state
+
+
+def _memo_put(key: tuple, state: WarmState) -> None:
+    with _WARM_LOCK:
+        _WARM_STATES[key] = state
+        _WARM_STATES.move_to_end(key)
+        while len(_WARM_STATES) > _MAX_WARM_STATES:
+            _WARM_STATES.popitem(last=False)
 
 
 @dataclass
@@ -152,8 +207,8 @@ class Prefixes:
 
     #: Canonical prefix JSON of each shard, in shard order.
     json_of: List[str]
-    #: prefix JSON -> (machine, context, checkpoint).
-    states: Dict[str, tuple]
+    #: prefix JSON -> :class:`WarmState`.
+    states: Dict[str, WarmState]
     #: prefix JSON -> checkpoint digest.
     digests: Dict[str, str]
 
@@ -161,14 +216,16 @@ class Prefixes:
 def build_prefixes(
     plan: PrefixPlan, shards: List[Shard], registry: MetricsRegistry, trace
 ) -> Prefixes:
-    """Run each distinct prefix of ``shards`` once and checkpoint it.
+    """Each distinct prefix of ``shards``, built and checkpointed at most
+    once per process.
 
-    The states land in this process's memo: inline runs reuse them
-    directly, forked pool children inherit them for free.  Capture work is
-    accounted under ``runner.checkpoint.*``.  Every prefix is built even
-    when all its shards are cache hits — the digest is needed to *form*
-    the keys — so a warm cache-hit sweep still costs one prefix execution
-    per distinct prefix.
+    A prefix already in this thread's memo is reused as is
+    (``runner.checkpoint.reuses``); any other is built by ``plan.setup``,
+    checkpointed and memoized (``runner.checkpoint.captures``).  Inline
+    runs use the states directly, forked pool children inherit them for
+    free.  The digest is needed to *form* the cache keys, so even a sweep
+    whose shards are all cache hits needs its prefixes — which costs one
+    prefix execution per distinct prefix per process, not per sweep.
     """
     json_of: List[str] = []
     groups: Dict[str, Dict[str, Any]] = {}
@@ -183,34 +240,51 @@ def build_prefixes(
         groups.setdefault(prefix_json, prefix)
     sizes = Counter(json_of)
 
-    states: Dict[str, tuple] = {}
-    digests: Dict[str, str] = {}
+    states: Dict[str, WarmState] = {}
+    captures = registry.counter("runner.checkpoint.captures")
+    reuses = registry.counter("runner.checkpoint.reuses")
     capture_seconds = registry.histogram(
         "runner.checkpoint.capture.seconds", _PREFIX_SECONDS_BUCKETS
     )
     saved_seconds = 0.0
     for prefix_json, prefix in groups.items():
-        start = time.perf_counter()
-        machine, context = plan.setup(prefix)
-        checkpoint = machine.checkpoint()
-        elapsed = time.perf_counter() - start
-        digest = digests[prefix_json] = checkpoint.digest()
-        state = states[prefix_json] = (machine, context, checkpoint)
-        _memo_put(_memo_key(plan.identity(), prefix_json, digest), state)
-        registry.counter("runner.checkpoint.captures").inc()
-        registry.counter("runner.checkpoint.bytes").inc(checkpoint.approx_bytes)
-        capture_seconds.observe(elapsed)
-        # Each trial beyond the group's first would have re-run this prefix
-        # cold; count the avoided builds as the (estimated) time saved.
-        saved_seconds += elapsed * (sizes[prefix_json] - 1)
-        trace.emit(
-            "runner.checkpoint.capture",
-            prefix=prefix_json,
-            digest=digest,
-            seconds=elapsed,
-            trials=sizes[prefix_json],
-        )
+        trials = sizes[prefix_json]
+        key = _memo_key(plan, prefix_json)
+        state = _memo_get(key)
+        if state is not None:
+            reuses.inc()
+            # Every trial of this sweep would have re-run the prefix cold.
+            saved_seconds += state.build_seconds * trials
+            trace.emit(
+                "runner.checkpoint.reuse",
+                prefix=prefix_json,
+                digest=state.digest,
+                trials=trials,
+            )
+        else:
+            start = time.perf_counter()
+            machine, context = plan.setup(prefix)
+            checkpoint = machine.checkpoint()
+            elapsed = time.perf_counter() - start
+            state = WarmState(machine, context, checkpoint, checkpoint.digest(), elapsed)
+            _memo_put(key, state)
+            captures.inc()
+            registry.counter("runner.checkpoint.bytes").inc(checkpoint.approx_bytes)
+            capture_seconds.observe(elapsed)
+            # Each trial beyond the group's first would have re-run this
+            # prefix cold; count the avoided builds as the (estimated) time
+            # saved.
+            saved_seconds += elapsed * (trials - 1)
+            trace.emit(
+                "runner.checkpoint.capture",
+                prefix=prefix_json,
+                digest=state.digest,
+                seconds=elapsed,
+                trials=trials,
+            )
+        states[prefix_json] = state
     registry.gauge("runner.checkpoint.saved_seconds").set(saved_seconds)
+    digests = {prefix_json: state.digest for prefix_json, state in states.items()}
     return Prefixes(json_of, states, digests)
 
 
@@ -225,6 +299,10 @@ class PlanWorker:
     live objects only a build can produce) but adopt the *shipped* parent
     checkpoint — digest-checked — instead of capturing their own, so the
     state they restore per trial is byte-for-byte the parent's.
+
+    A memo entry serves a trial only when its digest equals the parent's
+    digest for that prefix (the one the sweep's cache keys carry); any
+    other entry is rebuilt and replaced.
     """
 
     def __init__(self, plan: PrefixPlan, digests: Dict[str, str], checkpoints=None):
@@ -247,11 +325,18 @@ class PlanWorker:
         plan = self.plan
         prefix = plan.prefix_of(shard)
         prefix_json = canonical_json(prefix)
-        memo_key = _memo_key(plan.identity(), prefix_json, self.digests[prefix_json])
-        state = _WARM_STATES.get(memo_key)
-        if state is None:
+        key = _memo_key(plan, prefix_json)
+        digest = self.digests[prefix_json]
+        state = _memo_get(key)
+        if state is None or state.digest != digest:
+            start = time.perf_counter()
             machine, context = plan.setup(prefix)
-            shipped = self._shipped_checkpoint(prefix_json)
-            state = (machine, context, shipped or machine.checkpoint())
-            _memo_put(memo_key, state)
-        return plan.run_trial(*state, shard)
+            checkpoint = self._shipped_checkpoint(prefix_json)
+            if checkpoint is None:
+                checkpoint = machine.checkpoint()
+                digest = checkpoint.digest()
+            state = WarmState(
+                machine, context, checkpoint, digest, time.perf_counter() - start
+            )
+            _memo_put(key, state)
+        return plan.run_trial(state.machine, state.context, state.checkpoint, shard)

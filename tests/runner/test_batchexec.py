@@ -20,6 +20,7 @@ from repro.errors import ReproError
 from repro.experiments.insertion_sweep import (
     BATCH_PLAN,
     SCALAR_PLAN,
+    _sweep_setup,
     run_insertion_sweep,
 )
 from repro.faults import FaultPlan
@@ -34,6 +35,7 @@ from repro.runner import (
 )
 from repro.runner.pool import SHARD_ERROR_KEY
 from repro.sim.machine import Machine
+from repro.store import CampaignStore
 
 
 @pytest.fixture(autouse=True)
@@ -141,6 +143,54 @@ def test_retried_shard_adds_one_restore():
 def test_pool_path_restores_once_per_trial():
     rows, restores, _ = _restores(BATCH_PLAN, _shards("batch"), jobs=2)
     assert restores == len(rows) == 12
+
+
+# ---------------------------------------------------------------------------
+# Prefix reuse across sweeps
+
+SETUP_SEEDS = []
+
+
+def _counting_setup(prefix):
+    SETUP_SEEDS.append(prefix["machine_seed"])
+    return _sweep_setup(prefix)
+
+
+COUNTED_BATCH_PLAN = dataclasses.replace(BATCH_PLAN, setup=_counting_setup)
+
+
+def _recorded(shards, path, **kwargs):
+    """Rows, store fingerprint, cache keys and checkpoint digests of one
+    run into a fresh store and a fresh (so all-miss) cache."""
+    cache = ResultCache(path / "cache")
+    with CampaignStore(path / "runs.sqlite") as store:
+        rows = run_shards(COUNTED_BATCH_PLAN, shards, cache=cache,
+                          cache_tag="reuse", store=store, campaign="reuse",
+                          **kwargs)
+        (run,) = store.runs("reuse")
+        keys = [row.cache_key for row in store.shard_rows(run.id)]
+        return rows, run.fingerprint, keys, store.checkpoint_digests(run.id)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_second_sweep_reuses_prefixes_and_matches_a_rebuild(jobs, tmp_path):
+    """A second sweep over the same two prefixes runs no setup in this
+    process, and its rows, cache keys, digests and store fingerprint are
+    those of a sweep that rebuilt them."""
+    shards = _shards("batch", trials=3, machine_seeds=(11, 12))
+    SETUP_SEEDS.clear()
+    first = _recorded(shards, tmp_path / "first", jobs=jobs)
+    assert SETUP_SEEDS == [11, 12]
+    SETUP_SEEDS.clear()
+    registry = MetricsRegistry()
+    second = _recorded(shards, tmp_path / "second", jobs=jobs, metrics=registry)
+    assert SETUP_SEEDS == []
+    assert registry.counter("runner.checkpoint.captures").value == 0
+    assert registry.counter("runner.checkpoint.reuses").value == 2
+    clear_warm_states()
+    rebuilt = _recorded(shards, tmp_path / "rebuilt", jobs=jobs)
+    assert SETUP_SEEDS == [11, 12]
+    assert second == rebuilt == first
 
 
 # ---------------------------------------------------------------------------

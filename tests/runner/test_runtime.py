@@ -312,8 +312,9 @@ class TestWarmStartUnderRuntime:
             shard = make_shards(0, [{"base": 10, "x": 5}])[0]
             assert worker(shard) == {"y": 15}
             # The adopted checkpoint is the shipped one, not a local capture.
-            memo_key = _memo_key(STUB_PLAN.identity(), '{"base":10}', "stub-10")
-            adopted = _WARM_STATES[memo_key][2]
+            state = _WARM_STATES[_memo_key(STUB_PLAN, '{"base":10}')]
+            assert state.digest == "stub-10"
+            adopted = state.checkpoint
             assert adopted.base == 10
             assert adopted is load_payload(ref)['{"base":10}']
             clear_attached_payloads()

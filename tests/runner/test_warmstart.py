@@ -8,11 +8,18 @@ all hits, a changed prefix never collides).
 """
 
 import dataclasses
+import sys
+import threading
 
 import pytest
 
+from repro.config import SKYLAKE
 from repro.errors import ReproError
-from repro.experiments.capacity_sweep import run_capacity_sweep
+from repro.experiments.capacity_sweep import (
+    _CAPACITY_PLAN,
+    _capacity_setup,
+    run_capacity_sweep,
+)
 from repro.faults import FaultPlan
 from repro.obs import EventTrace, MetricsRegistry
 from repro.runner import (
@@ -24,7 +31,11 @@ from repro.runner import (
     make_shards,
     run_shards,
 )
+from repro.runner import warmstart
+from repro.runner.warmstart import PlanWorker, WarmState, _memo_key, _memo_put
 from repro.sim.machine import Machine
+from repro.store import CampaignStore
+from repro.victims.noise import NoiseConfig
 
 CRASH_PLAN = FaultPlan(seed=0, crash_probability=0.2)
 
@@ -236,3 +247,176 @@ class TestCapacitySweepEquivalence:
         cold = _sweep(warm=False, cache=cache)
         assert cold.points == warm.points
         assert cache.misses == 2 * len(_INTERVALS)
+
+
+# -- prefix reuse: a later sweep restores the memoized prefix, never rebuilds
+
+
+def _counting_capacity_setup(prefix):
+    SETUP_CALLS.append(prefix["seed"])
+    return _capacity_setup(prefix)
+
+
+COUNTED_CAPACITY_PLAN = dataclasses.replace(
+    _CAPACITY_PLAN, setup=_counting_capacity_setup
+)
+
+
+def _capacity_shards():
+    return make_shards(5, [
+        {
+            "config": SKYLAKE,
+            "machine_seed": 3,
+            "engine": "object",
+            "channel": "ntp+ntp",
+            "interval": interval,
+            "n_bits": 24,
+            "seed": 5,
+            "noise": NoiseConfig(),
+        }
+        for interval in _INTERVALS
+    ])
+
+
+def _recorded(plan, shards, path, **kwargs):
+    """Rows, store fingerprint, cache keys and checkpoint digests of one
+    run into a fresh store and a fresh (so all-miss) cache."""
+    cache = ResultCache(path / "cache")
+    with CampaignStore(path / "runs.sqlite") as store:
+        rows = run_shards(plan, shards, cache=cache, cache_tag="reuse",
+                          store=store, campaign="reuse", **kwargs)
+        (run,) = store.runs("reuse")
+        keys = [row.cache_key for row in store.shard_rows(run.id)]
+        return rows, run.fingerprint, keys, store.checkpoint_digests(run.id)
+
+
+class TestPrefixReuse:
+    def test_second_sweep_skips_setup_and_matches_a_rebuild(self, tmp_path):
+        shards = _capacity_shards()
+        SETUP_CALLS.clear()
+        first = _recorded(COUNTED_CAPACITY_PLAN, shards, tmp_path / "first")
+        assert SETUP_CALLS == [5]
+        SETUP_CALLS.clear()
+        registry, trace = MetricsRegistry(), EventTrace()
+        second = _recorded(COUNTED_CAPACITY_PLAN, shards, tmp_path / "second",
+                           metrics=registry, trace=trace)
+        assert SETUP_CALLS == []
+        clear_warm_states()
+        rebuilt = _recorded(COUNTED_CAPACITY_PLAN, shards, tmp_path / "rebuilt")
+        assert SETUP_CALLS == [5]
+        assert second == rebuilt == first
+
+        counters = registry.as_dict("runner.checkpoint")["counters"]
+        assert counters["runner.checkpoint.captures"] == 0
+        assert counters["runner.checkpoint.reuses"] == 1
+        assert counters["runner.checkpoint.restores"] == len(_INTERVALS)
+        names = [event.name for event in trace.events]
+        assert "runner.checkpoint.capture" not in names
+        (reuse,) = [e for e in trace.events if e.name == "runner.checkpoint.reuse"]
+        assert reuse.fields["digest"] == list(first[3].values())[0]
+        assert reuse.fields["trials"] == len(_INTERVALS)
+
+    def test_reuse_credits_the_stored_build_time(self):
+        run_shards(STUB_PLAN, _stub_shards())
+        build = sum(state.build_seconds for state in warmstart._WARM_STATES.values())
+        registry = MetricsRegistry()
+        run_shards(STUB_PLAN, _stub_shards(), metrics=registry)
+        saved = registry.gauge("runner.checkpoint.saved_seconds").value
+        assert saved == pytest.approx(build * 3)  # 3 trials per prefix
+
+    def test_plan_with_another_setup_gets_its_own_state(self):
+        def other_rows():
+            return [row["y"] for row in run_shards(OTHER_SETUP_PLAN, _stub_shards())]
+
+        assert OTHER_SETUP_PLAN.identity() == STUB_PLAN.identity()
+        run_shards(STUB_PLAN, _stub_shards())
+        SETUP_CALLS.clear()
+        assert other_rows() == [111, 112, 113, 121, 122, 123]
+        assert sorted(SETUP_CALLS) == [110, 120]
+
+    def test_another_thread_never_gets_the_state(self):
+        run_shards(STUB_PLAN, _stub_shards())
+        SETUP_CALLS.clear()
+        thread = threading.Thread(target=run_shards, args=(STUB_PLAN, _stub_shards()))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert sorted(SETUP_CALLS) == [10, 20]
+        SETUP_CALLS.clear()
+        run_shards(STUB_PLAN, _stub_shards())  # this thread's states survive
+        assert SETUP_CALLS == []
+
+    @pytest.mark.parametrize("drop", ["evicted", "cleared"])
+    def test_dropped_prefix_rebuilds_with_the_same_digest(self, drop, tmp_path):
+        shards = _capacity_shards()
+        first = _recorded(COUNTED_CAPACITY_PLAN, shards, tmp_path / "first")
+        if drop == "evicted":
+            run_shards(STUB_PLAN, _stub_shards(bases=range(warmstart._MAX_WARM_STATES)))
+        else:
+            clear_warm_states()
+        SETUP_CALLS.clear()
+        again = _recorded(COUNTED_CAPACITY_PLAN, shards, tmp_path / "again")
+        assert SETUP_CALLS == [5]
+        assert again == first
+
+    def test_a_hit_refreshes_the_entry_and_the_oldest_is_evicted(self):
+        cap = warmstart._MAX_WARM_STATES
+        run_shards(STUB_PLAN, _stub_shards(bases=range(cap)))
+        run_shards(STUB_PLAN, _stub_shards(bases=(0,)))  # hit: 0 is now newest
+        run_shards(STUB_PLAN, _stub_shards(bases=(cap,)))  # evicts 1, not 0
+        assert len(warmstart._WARM_STATES) == cap
+        SETUP_CALLS.clear()
+        run_shards(STUB_PLAN, _stub_shards(bases=(0,)))
+        assert SETUP_CALLS == []
+        run_shards(STUB_PLAN, _stub_shards(bases=(1,)))
+        assert SETUP_CALLS == [1]
+
+    def test_worker_rejects_an_entry_with_another_digest(self):
+        key = _memo_key(STUB_PLAN, '{"base":10}')
+        stale = _StubMachine(99)
+        _memo_put(key, WarmState(stale, "ctx", _StubCheckpoint(99), "stub-99", 0.0))
+        SETUP_CALLS.clear()
+        worker = PlanWorker(STUB_PLAN, {'{"base":10}': "stub-10"})
+        shard = make_shards(0, [{"base": 10, "x": 5}])[0]
+        assert worker(shard)["y"] == 15
+        assert SETUP_CALLS == [10]
+        assert warmstart._WARM_STATES[key].digest == "stub-10"
+
+
+def _other_stub_setup(prefix):
+    SETUP_CALLS.append(prefix["base"] + 100)
+    return _StubMachine(prefix["base"] + 100), "ctx"
+
+
+#: Same body (hence same identity) and prefix keys as STUB_PLAN, other setup.
+OTHER_SETUP_PLAN = dataclasses.replace(STUB_PLAN, setup=_other_stub_setup)
+
+
+class TestMemoThreadSafety:
+    def test_concurrent_puts_keep_the_cap(self):
+        """Four threads hammering the memo with a tiny switch interval: no
+        exception, and the memo never ends over its cap."""
+        errors = []
+
+        def hammer(tag):
+            try:
+                for i in range(20_000):
+                    key = (tag, i)
+                    _memo_put(key, WarmState(None, None, None, "d", 0.0))
+                    warmstart._memo_get(key)
+            except Exception as error:  # pragma: no cover - the failure mode
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(warmstart._WARM_STATES) == warmstart._MAX_WARM_STATES

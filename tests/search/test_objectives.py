@@ -3,13 +3,15 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.runner import make_content_shards
+from repro.obs import MetricsRegistry
+from repro.runner import clear_warm_states, make_content_shards
 from repro.search import (
     CapacityCliffObjective,
     DetectionKneeObjective,
     EvalContext,
     SuccessiveHalving,
     ToyCliffObjective,
+    make_driver,
     make_objective,
 )
 from repro.search.objectives import _toy_cliff_worker
@@ -65,6 +67,29 @@ class TestSimulatorObjectives:
         outcome = SuccessiveHalving(objective, 5).run(EvalContext(seed=0))
         assert 1400 <= outcome.winner["interval"] <= 2000
         assert outcome.winner_score > 0
+
+    def test_capacity_search_builds_its_prefix_once(self):
+        """Every round of a mutate search evaluates on the same channel
+        prefix: one build serves them all, at any ``jobs`` value."""
+        objective = CapacityCliffObjective(
+            lo=1200, hi=2800, step=100, fidelities=(16,)
+        )
+        fingerprints = []
+        for jobs in (1, 2):
+            clear_warm_states()
+            registry = MetricsRegistry()
+            outcome = make_driver("mutate", objective, 14).run(
+                EvalContext(seed=3, jobs=jobs, metrics=registry)
+            )
+            assert registry.counter("search.rounds").value > 1
+            assert registry.counter("runner.checkpoint.captures").value == 1
+            assert (
+                registry.counter("runner.checkpoint.reuses").value
+                == registry.counter("search.rounds").value - 1
+            )
+            fingerprints.append(outcome.fingerprint)
+        clear_warm_states()
+        assert fingerprints[0] == fingerprints[1]
 
     def test_detection_knee_prefers_short_feasible_periods(self):
         objective = DetectionKneeObjective(fidelities=(60_000,))
