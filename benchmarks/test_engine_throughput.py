@@ -158,6 +158,8 @@ def _instrumentation_overhead(backend=None) -> dict:
         "repeats": repeats,
         "null_sink_ops_per_sec": ops_per_sample / null_best,
         "instrumented_ops_per_sec": ops_per_sample / inst_best,
+        "null_sink_best_s": null_best,
+        "instrumented_best_s": inst_best,
         "throughput_ratio": null_best / inst_best,
     }
 
@@ -195,4 +197,10 @@ def test_instrumentation_overhead(once, backend):
         f"ratio:        {result['throughput_ratio']:.3f} "
         f"(best-of-{result['rounds']} interleaved runs per mode)",
     )
-    assert result["throughput_ratio"] >= 0.95
+    assert result["throughput_ratio"] >= 0.95, (
+        f"{backend}: instrumented/null-sink throughput ratio "
+        f"{result['throughput_ratio']:.3f} < 0.95 (best sample: null sink "
+        f"{result['null_sink_best_s']:.4f} s, instrumented "
+        f"{result['instrumented_best_s']:.4f} s, "
+        f"{result['repeats']} x {result['trace_length']} ops each)"
+    )

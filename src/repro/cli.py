@@ -807,8 +807,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--engine", choices=("object", "soa", "batch"),
                        default=None,
-                       help="trace-execution backend (default: REPRO_ENGINE "
-                            "env var, else object; results are bit-identical)")
+                       help="Machine.run_trace backend (default: REPRO_ENGINE "
+                            "env var, else object; results are bit-identical). "
+                            "Scheduled channel programs run on the SoA planes "
+                            "whatever this is")
         if repetitions is not None:
             p.add_argument("--repetitions", type=int, default=repetitions)
         if runner:

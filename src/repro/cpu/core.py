@@ -13,7 +13,10 @@ discrete-event scheduler passes ``at=process_time`` instead and manages time
 itself.
 
 The core also counts **memory references** (loads + prefetches), the metric
-the paper's Section VI-D countermeasure evaluation reports.
+the paper's Section VI-D countermeasure evaluation reports.  Counters move
+only after the hierarchy accepts the address, so an op rejected with
+``AddressError`` counts nothing — as on the SoA planes, which resolve every
+address before executing.
 """
 
 from __future__ import annotations
@@ -65,31 +68,31 @@ class Core:
 
     def load(self, addr: int, at: Optional[int] = None) -> MemOpResult:
         now, advance = self._resolve_time(at)
-        self.memory_references += 1
         result = self._account(self.machine.hierarchy.load(self.core_id, addr, now))
+        self.memory_references += 1
         self._finish(result.latency, advance)
         return result
 
     def prefetchnta(self, addr: int, at: Optional[int] = None) -> MemOpResult:
         now, advance = self._resolve_time(at)
-        self.memory_references += 1
         result = self._account(self.machine.hierarchy.prefetchnta(self.core_id, addr, now))
+        self.memory_references += 1
         self._finish(result.latency, advance)
         return result
 
     def prefetcht0(self, addr: int, at: Optional[int] = None) -> MemOpResult:
         now, advance = self._resolve_time(at)
-        self.memory_references += 1
         result = self._account(self.machine.hierarchy.prefetcht0(self.core_id, addr, now))
+        self.memory_references += 1
         self._finish(result.latency, advance)
         return result
 
     def prefetcht1(self, addr: int, at: Optional[int] = None) -> MemOpResult:
         now, advance = self._resolve_time(at)
-        self.memory_references += 1
         result = self._account(
             self.machine.hierarchy.prefetcht1(self.core_id, addr, now)
         )
+        self.memory_references += 1
         self._finish(result.latency, advance)
         return result
 
@@ -98,8 +101,8 @@ class Core:
 
     def clflush(self, addr: int, at: Optional[int] = None) -> MemOpResult:
         now, advance = self._resolve_time(at)
-        self.flushes += 1
         result = self.machine.hierarchy.clflush(addr, now)
+        self.flushes += 1
         self._finish(result.latency, advance)
         return result
 
@@ -110,24 +113,24 @@ class Core:
 
     def timed_load(self, addr: int, at: Optional[int] = None) -> TimedResult:
         now, advance = self._resolve_time(at)
-        self.memory_references += 1
         result = self._account(self.machine.hierarchy.load(self.core_id, addr, now))
+        self.memory_references += 1
         timed = self.machine.timing.measure(result)
         self._finish(timed.cycles, advance)
         return timed
 
     def timed_prefetchnta(self, addr: int, at: Optional[int] = None) -> TimedResult:
         now, advance = self._resolve_time(at)
-        self.memory_references += 1
         result = self._account(self.machine.hierarchy.prefetchnta(self.core_id, addr, now))
+        self.memory_references += 1
         timed = self.machine.timing.measure(result)
         self._finish(timed.cycles, advance)
         return timed
 
     def timed_clflush(self, addr: int, at: Optional[int] = None) -> TimedResult:
         now, advance = self._resolve_time(at)
-        self.flushes += 1
         result = self.machine.hierarchy.clflush(addr, now)
+        self.flushes += 1
         timed = self.machine.timing.measure(result)
         self._finish(timed.cycles, advance)
         return timed

@@ -1,19 +1,23 @@
 """Selectable trace-execution backends for :meth:`Machine.run_trace`.
 
-Three backends execute batched memory-op traces with bit-identical results:
+Three backends execute batched memory-op traces with bit-identical results.
+The choice concerns ``run_trace`` only: scheduled programs
+(:class:`~repro.sim.scheduler.Scheduler`) step each op through a
+:func:`~repro.engine.soa.open_session` plane session whenever the machine's
+policies are supported, whatever its backend.
 
 ``object``
     The default: per-op dispatch through the ``CacheHierarchy`` object
     graph.  Supports every policy/mapping combination.
 
 ``soa``
-    The struct-of-arrays batch engine (:mod:`repro.engine.soa`): the
-    hierarchy is flattened into per-level index arrays, traces are
-    pre-compiled into NumPy index vectors
-    (:mod:`repro.engine.compile`), and one monolithic loop executes the
-    batch with no per-op allocation or method dispatch.  Falls back to
-    ``object`` for machines with unsupported (non-stock) replacement
-    policies unless the caller demanded it explicitly.
+    The struct-of-arrays engine (:mod:`repro.engine.soa`): the hierarchy
+    is flattened into per-level planes, traces are pre-compiled into
+    NumPy index vectors (:mod:`repro.engine.compile`), and one plane
+    session steps the batch with no per-op allocation or method
+    dispatch.  Falls back to ``object`` for machines with unsupported
+    (non-stock) replacement policies unless the caller demanded it
+    explicitly.
 
 ``batch``
     The trial-batched engine (:mod:`repro.engine.batch`): N independent
@@ -40,7 +44,7 @@ from ..errors import ConfigurationError
 from .batch import BatchMachine, BatchResult, TrialView, run_trace_batch
 from .compile import CompiledTrace, OP_NAMES, compile_trace
 from .planes import PlaneManifest, export_planes, pack_planes, unpack_planes
-from .soa import execute, hierarchy_arrays, pmu_vectors, supports
+from .soa import execute, hierarchy_arrays, open_session, pmu_vectors, supports
 
 #: Recognised backend names.
 BACKENDS = ("object", "soa", "batch")
@@ -93,6 +97,7 @@ __all__ = [
     "execute",
     "export_planes",
     "hierarchy_arrays",
+    "open_session",
     "pack_planes",
     "pmu_vectors",
     "resolve_backend",

@@ -46,13 +46,13 @@ common pollution-state snapshot.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..cache.cacheset import CacheSet
 from ..errors import SimulationError
-from .compile import CompiledTrace, OP_NAMES, compile_trace
+from .compile import CompiledTrace, OP_NAMES, compile_trace, routes
 from .soa import (
     KIND_BITPLRU,
     KIND_QLRU,
@@ -60,7 +60,7 @@ from .soa import (
     KIND_TREEPLRU,
     KIND_TRUELRU,
     _MAX_AGE,
-    _Plane,
+    _import_set,
     _plru_tables,
     supports,
 )
@@ -88,8 +88,14 @@ class _Delta:
         self.hi = max(vals)
 
 
-class _BatchPlane(_Plane):
-    """A SoA plane extended with per-trial divergence bookkeeping.
+class _BatchPlane:
+    """Dense flat state of one cache level plus per-trial bookkeeping.
+
+    Slots are indexed ``(slice * sets + set) * ways + way`` — the dense
+    bases compiled traces carry — so rows need no translation.  The row
+    buffers and per-set arrays are those of :mod:`repro.engine.soa`'s
+    session planes, allocated once per machine at full size and reset
+    incrementally (only sets dirtied by the previous batch).  On top:
 
     ``busyd[slot]``
         The clock-offset :class:`_Delta` current when ``busy[slot]`` was
@@ -109,28 +115,76 @@ class _BatchPlane(_Plane):
         a coherent fill, i.e. every trial).
     """
 
-    __slots__ = ("kind", "busyd", "split", "created", "events")
+    __slots__ = (
+        "ways", "sets_per_slice", "kind",
+        "tags", "ages", "busy", "pref", "nvalid", "bits", "mru", "promo",
+        "stacks", "present", "live", "dirty",
+        "busyd", "split", "created", "events",
+    )
 
     def __init__(self, geometry, kind: int):
-        super().__init__(geometry, kind)
+        ways = geometry.ways
+        size = geometry.slices * geometry.sets * ways
+        n_sets = geometry.slices * geometry.sets
+        self.ways = ways
+        self.sets_per_slice = geometry.sets
         self.kind = kind
-        self.busyd: List[Optional[_Delta]] = [None] * (
-            geometry.slices * geometry.sets * geometry.ways
-        )
+        self.tags = [-1] * size
+        self.ages = [0] * size
+        self.busy = [0] * size
+        self.pref = [False] * size
+        self.nvalid = [0] * n_sets
+        #: One packed Tree-PLRU state int per set (see _plru_tables).
+        self.bits = [0] * n_sets if kind == KIND_TREEPLRU else None
+        self.mru = [False] * size if kind == KIND_BITPLRU else None
+        self.promo = [0] * n_sets if kind == KIND_QLRU else None
+        self.stacks: Dict[int, List[int]] = {}
+        self.present: Dict[int, int] = {}
+        #: base -> flat (slice, set) key, or None for sets first touched by
+        #: this batch (resolved lazily at apply).
+        self.live: Dict[int, Optional[Tuple[int, int]]] = {}
+        #: bases written by the previous batch, still to be reset.
+        self.dirty: List[int] = []
+        self.busyd: List[Optional[_Delta]] = [None] * size
         self.split: Dict[int, list] = {}
         self.created: Dict[int, List[bool]] = {}
         self.events: List[tuple] = []
 
     def sync_in(self, level) -> None:
-        busyd = self.busyd
+        """Reset previously dirtied sets, then import the level's live state."""
         ways = self.ways
+        tags = self.tags
+        nvalid = self.nvalid
+        bits = self.bits
+        mru = self.mru
+        promo = self.promo
+        busyd = self.busyd
         for base in self.dirty:
             for slot in range(base, base + ways):
+                tags[slot] = -1
                 busyd[slot] = None
+            s = base // ways
+            nvalid[s] = 0
+            if bits is not None:
+                bits[s] = 0
+            if mru is not None:
+                for slot in range(base, base + ways):
+                    mru[slot] = False
+            if promo is not None:
+                promo[s] = 0
+        self.dirty = []
+        self.stacks.clear()
+        self.present.clear()
+        self.live.clear()
         self.split.clear()
         self.created.clear()
         del self.events[:]
-        super().sync_in(level)
+        live = self.live
+        sps = self.sets_per_slice
+        for key, cache_set in level._sets.items():
+            base = (key[0] * sps + key[1]) * ways
+            live[base] = key
+            _import_set(self, base, cache_set)
 
 
 def _planes(machine) -> tuple:
@@ -346,31 +400,11 @@ def run_trace_batch(machine, traces, record: bool = False) -> "BatchResult":
     recorded: Optional[list] = [] if record else None
     rappend = recorded.append if record else None
 
-    # Tag -> (tag, b1, b2, b3), shared with the trace compiler (tags are
-    # line-aligned, so a tag is its own memo key); needed to find a
-    # back-invalidated line's private sets once planes have split.
-    try:
-        memo = machine._compile_memo
-    except AttributeError:
-        memo = machine._compile_memo = {}
-    l1_map = hierarchy.l1_mapping
-    l2_map = hierarchy.l2_mapping
-    llc_map = hierarchy.llc_mapping
-    l1_sets = config.l1.sets
-    l2_sets = config.l2.sets
-    llc_sets = config.llc.sets
-
-    def tag_entry(tag):
-        e = memo.get(tag)
-        if e is None:
-            sl, si = l1_map.flat_index(tag)
-            b1 = (sl * l1_sets + si) * W1
-            sl, si = l2_map.flat_index(tag)
-            b2 = (sl * l2_sets + si) * W2
-            sl, si = llc_map.flat_index(tag)
-            b3 = (sl * llc_sets + si) * W3
-            e = memo[tag] = (tag, b1, b2, b3)
-        return e
+    # A back-invalidated line's private sets, needed once planes have
+    # split, come from the machine's route memo (tags are line-aligned
+    # ints, so a tag is its own key).
+    route_memo, resolve_route = routes(machine)
+    route_get = route_memo.get
 
     # -- divergence machinery ---------------------------------------------
 
@@ -700,7 +734,7 @@ def run_trace_batch(machine, traces, record: bool = False) -> "BatchResult":
                     l2_nval[c][slot >> W2_SHIFT] -= 1
                     l2_stats[c][4] += 1
             return
-        entry = tag_entry(tag)
+        entry = route_get(tag) or resolve_route(tag)
         priv_inval_trial(
             l1_planes, l1_splits, l1_present, l1_tags, l1_nval, W1_SHIFT,
             l1_stats, l1_adj, entry[1], tag, -1, True,
@@ -712,7 +746,7 @@ def run_trace_batch(machine, traces, record: bool = False) -> "BatchResult":
 
     def back_inval_trial(t, tag):
         """Inclusion purge of ``tag`` for one trial only."""
-        entry = tag_entry(tag)
+        entry = route_get(tag) or resolve_route(tag)
         priv_inval_trial(
             l1_planes, l1_splits, l1_present, l1_tags, l1_nval, W1_SHIFT,
             l1_stats, l1_adj, entry[1], tag, t, False,

@@ -36,12 +36,12 @@ and set mappings (e.g. every shard machine of a sweep built from the same
 from __future__ import annotations
 
 import sys
-from typing import Iterable, Iterator, Tuple
+from typing import Callable, Iterable, Iterator, Tuple
 
 import numpy as np
 
 from ..errors import SimulationError
-from ..mem.address import LINE_OFFSET_BITS
+from ..mem.address import LINE_OFFSET_BITS, validate_address
 
 #: Op-name -> opcode.  ``prefetcht2`` keeps its own opcode (it executes
 #: exactly like ``prefetcht1`` but is counted separately by the
@@ -129,26 +129,61 @@ class CompiledTrace:
             yield names[code], core, tag
 
 
+def routes(machine) -> Tuple[dict, Callable[[int], Tuple[int, int, int, int]]]:
+    """The machine's per-address route memo and its resolver.
+
+    A route is ``(tag, b1, b2, b3)``: the line address plus the dense
+    plane base of its L1, L2 and LLC set.  Routes are pure per address
+    (the working set of any experiment is a bounded set of lines), so
+    compiled traces and scheduled programs resolve each address once per
+    machine.  ``resolve(addr)`` validates ``addr``, computes its route
+    and stores it.  Callers look up the memo only for ``type(addr) is
+    int`` and resolve everything else: ``64.0 == 64`` and ``True == 1``,
+    so a float or a bool would otherwise pick up an int's route and skip
+    validation.
+    """
+    try:
+        return machine._routes
+    except AttributeError:
+        pass
+    # The route memo is the cache: going through ``index`` rather than the
+    # mappings' own ``flat_index`` memos keeps each line stored once.
+    hierarchy = machine.hierarchy
+    l1_index = hierarchy.l1_mapping.index
+    l2_index = hierarchy.l2_mapping.index
+    llc_index = hierarchy.llc_mapping.index
+    config = machine.config
+    l1_sets, l1_ways = config.l1.sets, config.l1.ways
+    l2_sets, l2_ways = config.l2.sets, config.l2.ways
+    llc_sets, llc_ways = config.llc.sets, config.llc.ways
+    memo: dict = {}
+
+    def resolve(addr) -> Tuple[int, int, int, int]:
+        if type(addr) is not int:
+            validate_address(addr)  # raises for floats, bools, ...
+        where = l1_index(addr)  # validates the range too
+        b1 = (where.slice * l1_sets + where.set) * l1_ways
+        where = l2_index(addr)
+        b2 = (where.slice * l2_sets + where.set) * l2_ways
+        where = llc_index(addr)
+        b3 = (where.slice * llc_sets + where.set) * llc_ways
+        tag = (addr >> LINE_OFFSET_BITS) << LINE_OFFSET_BITS
+        route = memo[addr] = (tag, b1, b2, b3)
+        return route
+
+    machine._routes = memo, resolve
+    return memo, resolve
+
+
 def compile_trace(machine, ops: Iterable[Tuple[str, int, int]]) -> CompiledTrace:
     """Pre-resolve a trace against ``machine``'s config and set mappings.
 
-    The per-line decomposition is memoized on the machine (the working set
-    of any experiment is a bounded set of lines), so recompiling related
-    traces — or the same trace with fresh pollution interleaved — costs one
-    dict hit per op.
+    Addresses resolve through the machine's route memo (:func:`routes`),
+    so recompiling related traces — or the same trace with fresh
+    pollution interleaved — costs one dict hit per op.
     """
-    hierarchy = machine.hierarchy
-    l1_map = hierarchy.l1_mapping
-    l2_map = hierarchy.l2_mapping
-    llc_map = hierarchy.llc_mapping
-    l1_geo = machine.config.l1
-    l2_geo = machine.config.l2
-    llc_geo = machine.config.llc
     n_cores = machine.config.cores
-    try:
-        memo = machine._compile_memo
-    except AttributeError:
-        memo = machine._compile_memo = {}
+    memo, resolve = routes(machine)
     memo_get = memo.get
     opcode_get = _OPCODES.get
 
@@ -167,16 +202,9 @@ def compile_trace(machine, ops: Iterable[Tuple[str, int, int]]) -> CompiledTrace
             raise SimulationError(
                 f"core {core} out of range for {n_cores}-core machine"
             )
-        entry = memo_get(addr)
+        entry = memo_get(addr) if type(addr) is int else None
         if entry is None:
-            sl, si = l1_map.flat_index(addr)
-            b1 = (sl * l1_geo.sets + si) * l1_geo.ways
-            sl, si = l2_map.flat_index(addr)
-            b2 = (sl * l2_geo.sets + si) * l2_geo.ways
-            sl, si = llc_map.flat_index(addr)
-            b3 = (sl * llc_geo.sets + si) * llc_geo.ways
-            tag = (addr >> LINE_OFFSET_BITS) << LINE_OFFSET_BITS
-            entry = memo[addr] = (tag, b1, b2, b3)
+            entry = resolve(addr)
         codes.append(code)
         cores.append(core)
         tags.append(entry[0])

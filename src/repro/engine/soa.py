@@ -1,10 +1,10 @@
-"""Struct-of-arrays batch execution of memory-op traces.
+"""Struct-of-arrays execution of memory ops: the plane session.
 
 The object engine walks each op through ``CacheHierarchy`` →
 ``CacheLevel`` → ``CacheSet`` → per-line ``ReplacementPolicy`` calls.  This
-module executes the same semantics over flat per-level **planes** — parallel
-arrays indexed by ``(slice * sets + set) * ways + way`` — in one monolithic
-loop with no per-op object allocation and no per-op method dispatch:
+module executes the same semantics over flat per-level **planes** —
+parallel arrays with one row of ``ways`` slots per cache set — with no
+per-op object allocation and no per-op method dispatch:
 
 * ``tags[slot]``   line address stored in the way, ``-1`` when invalid
 * ``ages[slot]``   Quad-age / RRPV age (0 for policies that ignore it)
@@ -16,19 +16,32 @@ loop with no per-op object allocation and no per-op method dispatch:
                    LRU stacks
 * per-core vectors PMU-analog counter deltas
 
-The object hierarchy stays authoritative *between* batches: ``execute``
-imports live cache state into the planes, runs the compiled trace, and
-writes state, statistics, and PMU deltas back.  That sync-in/sync-out
-contract is what makes the backend bit-identical to the object engine —
-and makes PR-4 checkpoints interoperate for free, because
+:func:`open_session` is the one implementation of those semantics.  It
+imports the machine's live cache state into fresh planes and returns a
+``step`` closure that executes one op at a caller-given cycle, plus a
+``close`` that writes state, statistics and PMU deltas back.  Two callers
+drive it:
+
+* :func:`execute` — ``Machine.run_trace`` under the ``soa`` backend —
+  steps a compiled trace on the sequential clock;
+* :class:`~repro.sim.scheduler.Scheduler` steps each op a program yields at
+  that process's own time, for every supported machine whatever its
+  ``backend``.
+
+The object hierarchy stays authoritative *between* sessions.  That
+sync-in/sync-out contract is what makes the planes bit-identical to the
+object engine, and it makes checkpoints interoperate for free, because
 ``capture()``/``restore()`` always see fully synchronized object state.
 
-Plane storage is allocated once per machine and reset incrementally (only
-sets dirtied by the previous batch), so small batches don't pay for the
-8192-set LLC.  The mutable hot-path planes are flat Python buffers —
-CPython scalar indexing on lists beats ndarray scalar indexing — while the
-compiled traces (:mod:`repro.engine.compile`) and the public
-:func:`hierarchy_arrays` / :func:`pmu_vectors` views are NumPy arrays.
+Planes hold only the sets a session touches: a set gets a row when the
+session opens (if live) or when a fill first reaches it, and a
+per-level map from dense bases — ``(slice * sets + set) * ways``, what
+routes and compiled traces carry — to row bases translates on fills.  So
+a session never allocates the 8192-set LLC.  The mutable hot-path planes
+are flat Python lists — CPython scalar indexing on lists beats ndarray
+scalar indexing — while the compiled traces (:mod:`repro.engine.compile`)
+and the public :func:`hierarchy_arrays` / :func:`pmu_vectors` views are
+NumPy arrays.
 
 Supported configurations: Tree-PLRU private levels (the only private
 policy :class:`~repro.cache.hierarchy.CacheHierarchy` installs) and any of
@@ -40,11 +53,12 @@ demanded ``backend="soa"`` explicitly).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..cache.cacheset import CacheSet
+from ..cache.hierarchy import MemOpResult
 from ..cache.lru import TrueLRU
 from ..cache.plru import BitPLRU, TreePLRU
 from ..cache.qlru import QuadAgeLRU
@@ -164,107 +178,111 @@ def supports(machine) -> bool:
     return ok
 
 
+def _import_set(plane, base: int, cache_set: CacheSet) -> None:
+    """Copy one live ``CacheSet`` into the empty plane row at ``base``.
+
+    ``plane`` is a session plane here or a batch plane of
+    :mod:`repro.engine.batch`: both keep the same row buffers and index a
+    set's per-set arrays by ``base // ways``.
+    """
+    ways = plane.ways
+    row = base // ways
+    plane.nvalid[row] = cache_set._valid
+    tags = plane.tags
+    ages = plane.ages
+    busy = plane.busy
+    pref = plane.pref
+    present = plane.present
+    for w, line in enumerate(cache_set.ways):
+        if line is not None:
+            slot = base + w
+            tags[slot] = line.tag
+            ages[slot] = line.age
+            busy[slot] = line.busy_until
+            pref[slot] = line.prefetched
+            present[line.tag] = slot
+    policy = cache_set.policy
+    kind = plane.kind
+    if kind == KIND_TREEPLRU:
+        b = 0
+        for i, v in enumerate(policy._bits):
+            if v:
+                b |= 1 << i
+        plane.bits[row] = b
+    elif kind == KIND_BITPLRU:
+        plane.mru[base : base + ways] = policy._mru
+    elif kind == KIND_QLRU:
+        plane.promo[row] = policy.age_promotions
+    elif kind == KIND_TRUELRU:
+        plane.stacks[base] = list(policy._stack)
+
+
 class _Plane:
-    """Flat mutable state of one cache level (see module docstring)."""
+    """One level's state for the length of a session (see module docstring).
+
+    Sets get plane rows in first-touch order: the level's live sets when
+    the session opens, then each set a fill reaches for the first time.
+    ``bases`` maps a set's dense base — ``(slice * sets + set) * ways``,
+    what routes and compiled traces carry — to its row's compact base, so
+    a session's memory grows with the sets it touches, never with the
+    level's size.  Row order is also the order :meth:`sync_out` creates
+    new ``CacheSet`` objects in, which matches the object engine's.
+    """
 
     __slots__ = (
-        "ways", "way_shift", "way_mask", "sets_per_slice",
-        "tags", "ages", "busy", "pref", "nvalid", "bits", "mru", "promo",
-        "stacks", "present", "live", "dirty",
+        "ways", "sets_per_slice", "kind", "tags", "ages", "busy", "pref",
+        "nvalid", "bits", "mru", "promo", "stacks", "present", "bases",
+        "imported",
     )
 
-    def __init__(self, geometry, kind: int):
-        ways = geometry.ways
-        size = geometry.slices * geometry.sets * ways
-        n_sets = geometry.slices * geometry.sets
-        self.ways = ways
-        # Power-of-two associativity gets shift/mask slot decomposition;
-        # Tree-PLRU guarantees it for the levels that need it.
-        if ways & (ways - 1) == 0:
-            self.way_shift = ways.bit_length() - 1
-            self.way_mask = ways - 1
-        else:
-            self.way_shift = -1
-            self.way_mask = 0
-        self.sets_per_slice = geometry.sets
-        self.tags = [-1] * size
-        self.ages = [0] * size
-        self.busy = [0] * size
-        self.pref = [False] * size
-        self.nvalid = [0] * n_sets
+    def __init__(self, level, kind: int):
+        ways = self.ways = level.geometry.ways
+        sps = self.sets_per_slice = level.geometry.sets
+        self.kind = kind
+        self.tags: List[int] = []
+        self.ages: List[int] = []
+        self.busy: List[int] = []
+        self.pref: List[bool] = []
+        self.nvalid: List[int] = []
         #: One packed Tree-PLRU state int per set (see _plru_tables).
-        self.bits = [0] * n_sets if kind == KIND_TREEPLRU else None
-        self.mru = [False] * size if kind == KIND_BITPLRU else None
-        self.promo = [0] * n_sets if kind == KIND_QLRU else None
+        self.bits = [] if kind == KIND_TREEPLRU else None
+        self.mru = [] if kind == KIND_BITPLRU else None
+        self.promo = [] if kind == KIND_QLRU else None
         self.stacks: Dict[int, List[int]] = {}
+        #: tag -> slot of every valid line.
         self.present: Dict[int, int] = {}
-        #: base -> flat (slice, set) key, or None for sets first touched by
-        #: this batch (resolved lazily at sync-out).
-        self.live: Dict[int, Optional[Tuple[int, int]]] = {}
-        #: bases written by the previous batch, still to be reset.
-        self.dirty: List[int] = []
-
-    # -- batch sync --------------------------------------------------------
-
-    def sync_in(self, level) -> None:
-        """Reset previously dirtied sets, then import the level's live state."""
-        ways = self.ways
-        tags = self.tags
-        nvalid = self.nvalid
-        bits = self.bits
-        mru = self.mru
-        promo = self.promo
-        for base in self.dirty:
-            for slot in range(base, base + ways):
-                tags[slot] = -1
-            s = base // ways
-            nvalid[s] = 0
-            if bits is not None:
-                bits[s] = 0
-            if mru is not None:
-                for slot in range(base, base + ways):
-                    mru[slot] = False
-            if promo is not None:
-                promo[s] = 0
-        self.dirty = []
-        self.stacks.clear()
-        self.present.clear()
-        self.live.clear()
-        ages = self.ages
-        busy = self.busy
-        pref = self.pref
-        present = self.present
-        live = self.live
-        sps = self.sets_per_slice
+        #: dense base -> compact base, in row order.
+        self.bases: Dict[int, int] = {}
         for key, cache_set in level._sets.items():
-            s = key[0] * sps + key[1]
-            base = s * ways
-            live[base] = key
-            nvalid[s] = cache_set._valid
-            for w, line in enumerate(cache_set.ways):
-                if line is not None:
-                    slot = base + w
-                    tags[slot] = line.tag
-                    ages[slot] = line.age
-                    busy[slot] = line.busy_until
-                    pref[slot] = line.prefetched
-                    present[line.tag] = slot
-            policy = cache_set.policy
-            if bits is not None:
-                b = 0
-                for i, v in enumerate(policy._bits):
-                    if v:
-                        b |= 1 << i
-                bits[s] = b
-            elif mru is not None:
-                mru[base : base + ways] = policy._mru
-            elif promo is not None:
-                promo[s] = policy.age_promotions
-            elif isinstance(policy, TrueLRU):
-                self.stacks[base] = list(policy._stack)
+            base = self.add_set((key[0] * sps + key[1]) * ways)
+            _import_set(self, base, cache_set)
+        #: Rows below this one hold sets the level already had.
+        self.imported = len(self.bases)
+
+    def add_set(self, dense: int) -> int:
+        """Give the set at dense base ``dense`` an empty row; its base."""
+        ways = self.ways
+        base = self.bases[dense] = len(self.tags)
+        self.tags.extend([-1] * ways)
+        self.ages.extend([0] * ways)
+        self.busy.extend([0] * ways)
+        self.pref.extend([False] * ways)
+        self.nvalid.append(0)
+        if self.bits is not None:
+            self.bits.append(0)
+        elif self.mru is not None:
+            self.mru.extend([False] * ways)
+        elif self.promo is not None:
+            self.promo.append(0)
+        return base
 
     def sync_out(self, level, stats_delta: List[int]) -> None:
-        """Write plane state and accumulated statistics back into the level."""
+        """Write changed rows and the accumulated statistics back into the level.
+
+        An imported set whose row still equals the set's own state is left
+        alone, so a session rebuilds ``CacheLine`` objects only for the
+        sets its ops changed, not for the level's whole live state.
+        """
         stats = level.stats
         stats.hits += stats_delta[0]
         stats.misses += stats_delta[1]
@@ -272,6 +290,7 @@ class _Plane:
         stats.evictions += stats_delta[3]
         stats.invalidations += stats_delta[4]
         ways = self.ways
+        kind = self.kind
         tags = self.tags
         ages = self.ages
         busy = self.busy
@@ -282,88 +301,80 @@ class _Plane:
         stacks = self.stacks
         stride = ways - 1
         sps = self.sets_per_slice
+        imported = self.imported
         sets = level._sets
         factory = level._policy_factory
-        for base, key in self.live.items():
-            s = base // ways
-            if key is None:
-                key = (s // sps, s % sps)
-            cache_set = sets.get(key)
-            if cache_set is None:
-                cache_set = sets[key] = CacheSet(factory(ways))
+        for dense, base in self.bases.items():
+            s = dense // ways
+            key = (s // sps, s % sps)
             way_states = tuple(
                 None
                 if tags[slot] == -1
                 else (tags[slot], ages[slot], busy[slot], pref[slot])
                 for slot in range(base, base + ways)
             )
-            if bits is not None:
-                b = bits[s]
+            row = base // ways
+            if kind == KIND_TREEPLRU:
+                b = bits[row]
                 policy_state: tuple = tuple((b >> i) & 1 for i in range(stride))
-            elif mru is not None:
+            elif kind == KIND_BITPLRU:
                 policy_state = tuple(mru[base : base + ways])
-            elif promo is not None:
-                policy_state = (promo[s],)
-            elif isinstance(cache_set.policy, TrueLRU):
+            elif kind == KIND_QLRU:
+                policy_state = (promo[row],)
+            elif kind == KIND_TRUELRU:
                 policy_state = tuple(stacks.get(base, ()))
             else:
                 policy_state = ()
-            cache_set.restore((way_states, policy_state))
-        # Everything this batch touched must be reset before the next one.
-        self.dirty = list(self.live)
+            state = (way_states, policy_state)
+            if row < imported:
+                cache_set = sets[key]
+                if cache_set.capture() == state:
+                    continue
+            else:
+                cache_set = sets[key] = CacheSet(factory(ways))
+            cache_set.restore(state)
 
 
-def _planes(machine) -> tuple:
-    """The machine's cached plane set, allocating on first use."""
-    try:
-        return machine._soa_planes
-    except AttributeError:
-        pass
-    config = machine.config
-    llc_kind = machine._soa_llc_kind[0]
-    planes = (
-        [_Plane(config.l1, KIND_TREEPLRU) for _ in range(config.cores)],
-        [_Plane(config.l2, KIND_TREEPLRU) for _ in range(config.cores)],
-        _Plane(config.llc, llc_kind),
-    )
-    machine._soa_planes = planes
-    return planes
+class Session(NamedTuple):
+    """An open plane session on one machine (see :func:`open_session`)."""
+
+    step: Callable[..., MemOpResult]
+    close: Callable[[], None]
 
 
-def execute(machine, compiled: CompiledTrace, record: bool = False):
-    """Run a compiled trace on the SoA planes; returns the result list or None.
+def open_session(machine) -> Session:
+    """Sync ``machine`` into fresh planes for op-at-a-time execution.
 
-    Mutates the machine exactly as the object engine's ``run_trace`` loop
-    would: cache state, level statistics, per-core PMU counters, and the
-    sequential clock.  Callers (``Machine.run_trace``) own metrics flushing
-    and pollution wiring.
+    ``step(code, core, tag, b1, b2, b3, now)`` executes one op — an
+    opcode of :mod:`repro.engine.compile`, the issuing core, and the op's
+    route (line tag plus the dense L1/L2/LLC bases a compiled row or
+    :func:`~repro.engine.compile.routes` gives) — at cycle ``now``, and
+    returns its interned :class:`MemOpResult`.  Cache state, level
+    statistics and per-core PMU counters change exactly as the object
+    engine's ``Core`` → ``CacheHierarchy`` path would change them.  Time
+    belongs to the caller: ``step`` neither reads nor advances
+    ``machine.clock``.
+
+    Until ``close()`` the planes, not the object hierarchy, hold the
+    machine's cache state, so nothing may read or drive the hierarchy
+    in between.  ``close()`` writes cache state, ``LevelStats`` deltas and
+    PMU counter deltas back; calling it again does nothing.
     """
     if not supports(machine):
         raise SimulationError(
             "SoA backend does not support this machine's replacement policies"
         )
-    if compiled.config_name != machine.config.name:
-        raise SimulationError(
-            f"compiled trace is for config {compiled.config_name!r}, "
-            f"machine is {machine.config.name!r}"
-        )
     hierarchy = machine.hierarchy
     config = machine.config
     n_cores = config.cores
-    l1_planes, l2_planes, llc = _planes(machine)
-    for c in range(n_cores):
-        l1_planes[c].sync_in(hierarchy.l1s[c])
-        l2_planes[c].sync_in(hierarchy.l2s[c])
-    llc.sync_in(hierarchy.llc)
+    llc_kind = machine._soa_llc_kind
+    LKIND = llc_kind[0]
+    l1_planes = [_Plane(level, KIND_TREEPLRU) for level in hierarchy.l1s]
+    l2_planes = [_Plane(level, KIND_TREEPLRU) for level in hierarchy.l2s]
+    llc = _Plane(hierarchy.llc, LKIND)
 
     lat = config.latency
-    LAT_L1 = lat.l1_hit
-    LAT_L2 = lat.l2_hit
-    LAT_LLC = lat.llc_hit
     LAT_DRAM = lat.dram
-    LAT_PREF = lat.prefetch_issue
-    LAT_FLUSH = lat.clflush
-    LAT_FLUSH_CACHED = lat.clflush + lat.clflush_cached_extra
     R_L1_LOAD = hierarchy._r_l1_load
     R_L1_PREF = hierarchy._r_l1_prefetch
     R_L2_LOAD = hierarchy._r_l2_load
@@ -382,14 +393,13 @@ def execute(machine, compiled: CompiledTrace, record: bool = False):
     W2_M1 = W2 - 1
     W3 = config.llc.ways
 
-    llc_kind = machine._soa_llc_kind
-    LKIND = llc_kind[0]
     if LKIND == KIND_QLRU:
         LOAD_AGE, PREF_AGE, PHU = llc_kind[1], llc_kind[2], llc_kind[3]
     elif LKIND == KIND_SRRIP:
         INSERT_RRPV, HIT_HP = llc_kind[1], llc_kind[2] == "hp"
 
-    # Hot-loop local bindings of plane buffers.
+    # Hot-path local bindings of plane buffers.  Rows are appended in
+    # place, so these bindings stay valid as the planes grow.
     l1_tags = [p.tags for p in l1_planes]
     l1_bits = [p.bits for p in l1_planes]
     l1_nval = [p.nvalid for p in l1_planes]
@@ -408,7 +418,8 @@ def execute(machine, compiled: CompiledTrace, record: bool = False):
     lpromo = llc.promo
     lstacks = llc.stacks
     lpresent = llc.present
-    llive = llc.live
+    lbases = llc.bases
+    ladd_set = llc.add_set
 
     # Per-plane LevelStats deltas: [hits, misses, fills, evictions, invals].
     l1_stats = [[0] * 5 for _ in range(n_cores)]
@@ -440,12 +451,14 @@ def execute(machine, compiled: CompiledTrace, record: bool = False):
         bits = plane.bits
         nval = plane.nvalid
         present = plane.present
-        live = plane.live
+        bases = plane.bases
+        add_set = plane.add_set
         t_and, t_or, t_vict = _plru_tables(W)
 
-        def fill(base, tag, now):
-            if base not in live:
-                live[base] = None
+        def fill(dense, tag, now):
+            base = bases.get(dense)
+            if base is None:
+                base = add_set(dense)
             s = base >> WSHIFT
             n = nval[s]
             if n < W:
@@ -534,14 +547,15 @@ def execute(machine, compiled: CompiledTrace, record: bool = False):
             lmru[i] = False
         lmru[slot] = True
 
-    def _fill_llc(base, tag, is_pref, now, busy_until):
+    def _fill_llc(dense, tag, is_pref, now, busy_until):
         """Mirror of CacheLevel.fill on the LLC plane.
 
         Returns ``(evicted_tag, inserted)`` with ``-1`` for "nothing
         evicted"; accounts fills/evictions in ``llc_stats``.
         """
-        if base not in llive:
-            llive[base] = None
+        base = lbases.get(dense)
+        if base is None:
+            base = ladd_set(dense)
         s = base // W3
         n = lnval[s]
         evicted = -1
@@ -667,11 +681,7 @@ def execute(machine, compiled: CompiledTrace, record: bool = False):
                 l2_nval[c][slot >> W2_SHIFT] -= 1
                 l2_stats[c][4] += 1
 
-    results: Optional[List] = [] if record else None
-    rappend = results.append if record else None
-    clock = machine.clock
-
-    for code, core, tag, b1, b2, b3 in compiled.rows():
+    def step(code, core, tag, b1, b2, b3, now):
         if code <= 2:  # load / prefetchnta / prefetcht0 all probe L1 first
             d_refs[core] += 1
             slot = l1_present[core].get(tag)
@@ -682,15 +692,8 @@ def execute(machine, compiled: CompiledTrace, record: bool = False):
                 s = slot >> W1_SHIFT
                 way = slot & W1_M1
                 bits[s] = bits[s] & T1_AND[way] | T1_OR[way]
-                if code == 0:
-                    clock += LAT_L1
-                    if record:
-                        rappend(R_L1_LOAD)
-                else:  # prefetchnta / prefetcht0 report the issue cost
-                    clock += LAT_PREF
-                    if record:
-                        rappend(R_L1_PREF)
-                continue
+                # prefetchnta / prefetcht0 report the issue cost
+                return R_L1_LOAD if code == 0 else R_L1_PREF
             stats[1] += 1
             slot = l2_present[core].get(tag)
             stats = l2_stats[core]
@@ -700,11 +703,8 @@ def execute(machine, compiled: CompiledTrace, record: bool = False):
                 s = slot >> W2_SHIFT
                 way = slot & W2_M1
                 bits[s] = bits[s] & T2_AND[way] | T2_OR[way]
-                l1_fill[core](b1, tag, clock)
-                clock += LAT_L2
-                if record:
-                    rappend(R_L2_LOAD)
-                continue
+                l1_fill[core](b1, tag, now)
+                return R_L2_LOAD
             stats[1] += 1
             is_nta = code == 1
             slot = lpresent.get(tag)
@@ -713,28 +713,23 @@ def execute(machine, compiled: CompiledTrace, record: bool = False):
                 # Property #2: a PREFETCHNTA hit does not refresh the age.
                 _llc_hit(slot, is_nta)
                 if not is_nta:
-                    l2_fill[core](b2, tag, clock)
-                l1_fill[core](b1, tag, clock)
+                    l2_fill[core](b2, tag, now)
+                l1_fill[core](b1, tag, now)
                 d_llc_ref[core] += 1
-                clock += LAT_LLC
-                if record:
-                    rappend(R_LLC)
-                continue
+                return R_LLC
             llc_stats[1] += 1
             # Property #1: a PREFETCHNTA miss installs the eviction candidate.
-            evicted, inserted = _fill_llc(b3, tag, is_nta, clock, clock + LAT_DRAM)
+            evicted, inserted = _fill_llc(b3, tag, is_nta, now, now + LAT_DRAM)
             if evicted != -1:
                 _back_inval(evicted)
             if inserted:
                 if not is_nta:
-                    l2_fill[core](b2, tag, clock)
-                l1_fill[core](b1, tag, clock)
+                    l2_fill[core](b2, tag, now)
+                l1_fill[core](b1, tag, now)
             d_llc_ref[core] += 1
             d_llc_miss[core] += 1
-            clock += LAT_DRAM
-            if record:
-                rappend(R_DRAM)
-        elif code == 5:  # clflush
+            return R_DRAM
+        if code == 5:  # clflush
             d_flush[core] += 1
             slot = lpresent.pop(tag, None)
             if slot is not None:
@@ -749,71 +744,91 @@ def execute(machine, compiled: CompiledTrace, record: bool = False):
                 ltags[slot] = -1
                 lnval[slot // W3] -= 1
                 llc_stats[4] += 1
-                was_cached = True
-            else:
-                was_cached = False
+                _back_inval(tag)
+                return R_FLUSH_CACHED
             _back_inval(tag)
-            if was_cached:
-                clock += LAT_FLUSH_CACHED
-                if record:
-                    rappend(R_FLUSH_CACHED)
-            else:
-                clock += LAT_FLUSH
-                if record:
-                    rappend(R_FLUSH)
-        else:  # prefetcht1 / prefetcht2
-            d_refs[core] += 1
-            if tag in l1_present[core]:  # presence check only: no stats
-                clock += LAT_PREF
-                if record:
-                    rappend(R_L1_PREF)
-                continue
-            slot = l2_present[core].get(tag)
-            stats = l2_stats[core]
-            if slot is not None:
-                stats[0] += 1
-                bits = l2_bits[core]
-                s = slot >> W2_SHIFT
-                way = slot & W2_M1
-                bits[s] = bits[s] & T2_AND[way] | T2_OR[way]
-                clock += LAT_PREF
-                if record:
-                    rappend(R_L2_PREF)
-                continue
-            stats[1] += 1
-            slot = lpresent.get(tag)
-            if slot is not None:
-                llc_stats[0] += 1
-                _llc_hit(slot, False)  # demand-age treatment: not leaky
-                l2_fill[core](b2, tag, clock)
-                d_llc_ref[core] += 1
-                clock += LAT_LLC
-                if record:
-                    rappend(R_LLC)
-                continue
-            llc_stats[1] += 1
-            evicted, inserted = _fill_llc(b3, tag, False, clock, clock + LAT_DRAM)
-            if evicted != -1:
-                _back_inval(evicted)
-            if inserted:
-                l2_fill[core](b2, tag, clock)
+            return R_FLUSH
+        # prefetcht1 / prefetcht2
+        d_refs[core] += 1
+        if tag in l1_present[core]:  # presence check only: no stats
+            return R_L1_PREF
+        slot = l2_present[core].get(tag)
+        stats = l2_stats[core]
+        if slot is not None:
+            stats[0] += 1
+            bits = l2_bits[core]
+            s = slot >> W2_SHIFT
+            way = slot & W2_M1
+            bits[s] = bits[s] & T2_AND[way] | T2_OR[way]
+            return R_L2_PREF
+        stats[1] += 1
+        slot = lpresent.get(tag)
+        if slot is not None:
+            llc_stats[0] += 1
+            _llc_hit(slot, False)  # demand-age treatment: not leaky
+            l2_fill[core](b2, tag, now)
             d_llc_ref[core] += 1
-            d_llc_miss[core] += 1
-            clock += LAT_DRAM
-            if record:
-                rappend(R_DRAM)
+            return R_LLC
+        llc_stats[1] += 1
+        evicted, inserted = _fill_llc(b3, tag, False, now, now + LAT_DRAM)
+        if evicted != -1:
+            _back_inval(evicted)
+        if inserted:
+            l2_fill[core](b2, tag, now)
+        d_llc_ref[core] += 1
+        d_llc_miss[core] += 1
+        return R_DRAM
 
-    # -- sync-out ----------------------------------------------------------
-    machine.clock = clock
-    for c in core_range:
-        core = machine.cores[c]
-        core.memory_references += d_refs[c]
-        core.flushes += d_flush[c]
-        core.llc_references += d_llc_ref[c]
-        core.llc_misses += d_llc_miss[c]
-        l1_planes[c].sync_out(hierarchy.l1s[c], l1_stats[c])
-        l2_planes[c].sync_out(hierarchy.l2s[c], l2_stats[c])
-    llc.sync_out(hierarchy.llc, llc_stats)
+    closed = False
+
+    def close() -> None:
+        nonlocal closed
+        if closed:
+            return
+        closed = True
+        for c in core_range:
+            core = machine.cores[c]
+            core.memory_references += d_refs[c]
+            core.flushes += d_flush[c]
+            core.llc_references += d_llc_ref[c]
+            core.llc_misses += d_llc_miss[c]
+            l1_planes[c].sync_out(hierarchy.l1s[c], l1_stats[c])
+            l2_planes[c].sync_out(hierarchy.l2s[c], l2_stats[c])
+        llc.sync_out(hierarchy.llc, llc_stats)
+
+    return Session(step, close)
+
+
+def execute(machine, compiled: CompiledTrace, record: bool = False):
+    """Run a compiled trace on the SoA planes; returns the result list or None.
+
+    One session, stepped through the trace on the sequential clock: the
+    machine changes exactly as under the object engine's ``run_trace``
+    loop — cache state, level statistics, per-core PMU counters, and the
+    clock.  Callers (``Machine.run_trace``) own metrics flushing and
+    pollution wiring.
+    """
+    if compiled.config_name != machine.config.name:
+        raise SimulationError(
+            f"compiled trace is for config {compiled.config_name!r}, "
+            f"machine is {machine.config.name!r}"
+        )
+    step, close = open_session(machine)
+    clock = machine.clock
+    results: Optional[List] = [] if record else None
+    try:
+        if record:
+            append = results.append
+            for code, core, tag, b1, b2, b3 in compiled.rows():
+                result = step(code, core, tag, b1, b2, b3, clock)
+                clock += result.latency
+                append(result)
+        else:
+            for code, core, tag, b1, b2, b3 in compiled.rows():
+                clock += step(code, core, tag, b1, b2, b3, clock).latency
+    finally:
+        machine.clock = clock
+        close()
     return results
 
 
@@ -873,8 +888,10 @@ def pmu_vectors(machine) -> Dict[str, np.ndarray]:
 __all__ = [
     "CompiledTrace",
     "OP_NAMES",
+    "Session",
     "execute",
     "hierarchy_arrays",
+    "open_session",
     "pmu_vectors",
     "supports",
 ]

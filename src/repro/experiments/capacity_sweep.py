@@ -162,10 +162,11 @@ def run_capacity_sweep(
     layer; a point whose shard exhausts its retries is dropped from the
     curve (visible in ``runner.failures``) rather than aborting the sweep.
 
-    ``engine`` selects the trace-execution backend for every shard machine
+    ``engine`` selects the ``run_trace`` backend for every shard machine
     (``object`` or ``soa``; default: the probe machine's preference, which
     itself honours ``REPRO_ENGINE``) and is part of each shard's cache and
-    warm-start identity.
+    warm-start identity.  The channel programs themselves run on the SoA
+    planes whatever it is (see :class:`~repro.sim.scheduler.Scheduler`).
 
     With ``warm_start`` (the default) the machine+channel prefix shared by
     every interval is built once and checkpointed, and each point restores

@@ -103,11 +103,14 @@ class Machine:
         self.config = config
         #: Trace-execution backend preference for :meth:`run_trace`
         #: (``object``, ``soa``, or ``batch``); ``None`` reads the
-        #: ``REPRO_ENGINE`` environment variable.  A machine-level
-        #: preference of ``soa`` or ``batch`` silently falls back to the
-        #: object engine when the machine's policies are unsupported; the
-        #: per-call ``backend=`` argument of :meth:`run_trace` is strict
-        #: instead.
+        #: ``REPRO_ENGINE`` environment variable.  It selects the
+        #: ``run_trace`` engine only: scheduled programs
+        #: (:class:`~repro.sim.scheduler.Scheduler`) run on the SoA planes
+        #: whenever the policies are supported, whatever this is.  A
+        #: machine-level preference of ``soa`` or ``batch`` silently falls
+        #: back to the object engine when the machine's policies are
+        #: unsupported; the per-call ``backend=`` argument of
+        #: :meth:`run_trace` is strict instead.
         self.backend = resolve_backend(backend)
         #: Cached metric-counter handles for batch flushing (built lazily;
         #: the registry is fixed at construction, so handles never go stale).
@@ -374,11 +377,11 @@ class Machine:
                 raise SimulationError(f"unknown trace op {op!r}") from None
             core = cores[core_id]
             if handler is None:
-                core.flushes += 1
                 result = hierarchy.clflush(addr, clock)
+                core.flushes += 1
             else:
-                core.memory_references += 1
                 result = handler(core_id, addr, clock)
+                core.memory_references += 1
                 level = result.level
                 if level is _DRAM:
                     core.llc_references += 1

@@ -27,8 +27,10 @@ from repro.engine import (
     resolve_backend,
 )
 from repro.engine.soa import _plru_tables, supports
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import AddressError, ConfigurationError, SimulationError
 from repro.sim.machine import Machine
+from repro.sim.process import Load
+from repro.sim.scheduler import Scheduler
 
 TINY = PlatformConfig(
     name="tiny-backend",
@@ -196,6 +198,55 @@ class TestCompiledTrace:
         # Compile-time validation: the valid prefix did NOT execute.
         assert machine.clock == 0
         assert machine.cores[0].memory_references == 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("bad", [64.0, True], ids=["float", "bool"])
+    def test_memoised_route_does_not_admit_non_int_address(self, backend, bad):
+        """``64.0 == 64`` and ``True == 1``: a route memoised for the int
+        must not let the look-alike skip validation."""
+        machine = Machine(TINY, seed=0)
+        compile_trace(machine, [("load", 0, int(bad))])
+        machine.run_trace([("load", 0, int(bad))], backend=backend)
+        expected = f"address must be an int, got {type(bad).__name__}"
+        with pytest.raises(AddressError, match=expected):
+            machine.run_trace([("load", 0, bad)], backend=backend)
+
+    @pytest.mark.parametrize("planes", [True, False], ids=["planes", "object"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(64.0, "address must be an int, got float"), (-64, "negative")],
+        ids=["float", "negative"],
+    )
+    def test_scheduled_load_rejects_bad_address(self, planes, bad, message):
+        """Both scheduled paths reject the address and count only the op
+        that executed: a rejected op leaves the PMU counters alone."""
+        machine = Machine(TINY, seed=0)
+        if not planes:
+            machine._soa_supported = False
+
+        def program():
+            yield Load(64)
+            yield Load(bad)
+
+        scheduler = Scheduler(machine)
+        scheduler.spawn("p", 0, program())
+        with pytest.raises(AddressError, match=message):
+            scheduler.run()
+        core = machine.cores[0]
+        assert (
+            core.memory_references, core.flushes,
+            core.llc_references, core.llc_misses,
+        ) == (1, 0, 1, 1)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("op", ["load", "prefetchnta", "clflush"])
+    def test_rejected_address_counts_nothing(self, backend, op):
+        machine = Machine(TINY, seed=0)
+        with pytest.raises(AddressError):
+            machine.run_trace([(op, 0, -64)], backend=backend)
+        with pytest.raises(AddressError):
+            getattr(machine.cores[0], op)(-64)
+        assert not any(v.any() for v in pmu_vectors(machine).values())
 
 
 # ---------------------------------------------------------------------------
