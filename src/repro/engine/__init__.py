@@ -13,7 +13,7 @@ policies are supported, whatever its backend.
 ``soa``
     The struct-of-arrays engine (:mod:`repro.engine.soa`): the hierarchy
     is flattened into per-level planes, traces are pre-compiled into
-    NumPy index vectors (:mod:`repro.engine.compile`), and one plane
+    flat row tuples (:mod:`repro.engine.compile`), and one plane
     session steps the batch with no per-op allocation or method
     dispatch.  Falls back to ``object`` for machines with unsupported
     (non-stock) replacement policies unless the caller demanded it

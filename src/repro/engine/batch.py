@@ -13,10 +13,10 @@ ndarrays:
 
 * At batch start all trials share one plane row — they begin from the same
   machine state, so the trial axis is perfectly redundant.
-* The per-trial traces are aligned into a program with a vectorized NumPy
-  uniformity mask; a program row whose ``(op, core, addr)`` agrees across
-  all trials executes **once** on the shared planes (exactly the SoA inner
-  loop), on behalf of every trial.
+* The per-trial traces are aligned into a program by comparing their
+  rows position by position; a program row whose ``(op, core, addr)``
+  agrees across all trials executes **once** on the shared planes
+  (exactly the SoA inner loop), on behalf of every trial.
 * A row that differs between trials — or a uniform row that touches
   diverged state — executes per trial.  The first per-trial *mutation* of
   a set splits it: the shared row is copied into ``trials`` private
@@ -46,9 +46,8 @@ common pollution-state snapshot.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Dict, List, NamedTuple, Optional, Tuple
-
-import numpy as np
 
 from ..cache.cacheset import CacheSet
 from ..errors import SimulationError
@@ -214,36 +213,19 @@ def _build_program(compiled: List[CompiledTrace]) -> list:
 
     An entry is either a single ``(code, core, tag, b1, b2, b3)`` tuple —
     the row is identical across every trial — or a list of per-trial rows
-    (``None`` for trials whose trace is already exhausted).  Equal-length
-    batches get the uniformity mask vectorized over the compiled arrays.
+    (``None`` for trials whose trace is already exhausted).
     """
-    rows_t = [c.rows() for c in compiled]
     if len(compiled) == 1:
-        return rows_t[0]
-    lengths = [c.length for c in compiled]
-    n = max(lengths)
+        return compiled[0].rows()
+    width = len(compiled)
     program: list = []
-    if min(lengths) == n:
-        if n == 0:
-            return program
-        same = np.ones(n, dtype=bool)
-        for field in ("opcodes", "cores", "tags", "l1_base", "l2_base", "llc_base"):
-            arrs = np.stack([getattr(c, field) for c in compiled])
-            same &= (arrs == arrs[0]).all(axis=0)
-        r0 = rows_t[0]
-        for i, uniform in enumerate(same.tolist()):
-            if uniform:
-                program.append(r0[i])
-            else:
-                program.append([rt[i] for rt in rows_t])
-        return program
-    for i in range(n):
-        rows = [rt[i] if i < len(rt) else None for rt in rows_t]
+    append = program.append
+    for rows in zip_longest(*[c.rows() for c in compiled]):
         first = rows[0]
-        if first is not None and all(r == first for r in rows):
-            program.append(first)
+        if first is not None and rows.count(first) == width:
+            append(first)
         else:
-            program.append(rows)
+            append(list(rows))
     return program
 
 
@@ -1424,7 +1406,7 @@ class BatchResult:
     def length(self, t: int) -> int:
         """Ops executed by trial ``t`` (pollution loads included)."""
         self._check_trial(t)
-        return self._compiled[t].length
+        return len(self._compiled[t])
 
     def clock(self, t: int) -> int:
         """Trial ``t``'s end-of-trace sequential clock."""

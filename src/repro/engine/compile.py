@@ -4,22 +4,18 @@ A trace is a sequence of ``(op, core, addr)`` tuples.  Executing one op
 touches up to three cache levels, and resolving *where* it lands — the
 (slice, set) pair per level — is pure per line address.  The object engine
 memoizes that resolution per level (:meth:`CacheSetMapping.flat_index`);
-this module folds the same decomposition into flat **index arrays** once,
+this module folds the same decomposition into flat **row tuples** once,
 so replaying a trace (sweep trials, prime/probe loops, throughput
 benchmarks) pays zero address arithmetic per op.
 
-A :class:`CompiledTrace` holds parallel NumPy arrays::
-
-    opcodes[i]   -- small int, one per op name
-    cores[i]     -- issuing core id
-    tags[i]      -- line address (the tag stored in the caches)
-    l1_base[i]   -- flat way-array base of the op's L1 set: (slice*sets + set) * ways
-    l2_base[i]   -- same for L2
-    llc_base[i]  -- same for the LLC
-
-The bases are *dense* indices into the struct-of-arrays planes of
-:mod:`repro.engine.soa` — every ``(slice, set, way)`` slot of a level maps
-to ``base + way`` in its flat arrays.
+A :class:`CompiledTrace` holds one ``(code, core, tag, b1, b2, b3)`` row
+per op: the opcode, the issuing core id, the line address (the tag stored
+in the caches) and the flat way-array bases of the op's L1, L2 and LLC
+set, ``(slice * sets + set) * ways``.  The bases are *dense* indices into
+the struct-of-arrays planes of :mod:`repro.engine.soa` — every
+``(slice, set, way)`` slot of a level maps to ``base + way``.  Rows are
+plain tuples because the engines iterate them straight into Python
+locals: CPython unpacks a tuple faster than it indexes any array.
 
 Compilation validates every op up front (op name, core range, address
 range), so a compiled trace always executes to completion; the object
@@ -36,9 +32,7 @@ and set mappings (e.g. every shard machine of a sweep built from the same
 from __future__ import annotations
 
 import sys
-from typing import Callable, Iterable, Iterator, Tuple
-
-import numpy as np
+from typing import Callable, Iterable, Iterator, List, Tuple
 
 from ..errors import SimulationError
 from ..mem.address import LINE_OFFSET_BITS, validate_address
@@ -64,56 +58,26 @@ _OPCODES = {name: code for code, name in enumerate(OP_NAMES)}
 class CompiledTrace:
     """An op list pre-resolved to flat set indices (see module docstring)."""
 
-    __slots__ = (
-        "config_name", "length", "opcodes", "cores", "tags",
-        "l1_base", "l2_base", "llc_base", "op_counts", "_rows",
-    )
+    __slots__ = ("config_name", "_rows", "op_counts")
 
-    def __init__(
-        self,
-        config_name: str,
-        opcodes: np.ndarray,
-        cores: np.ndarray,
-        tags: np.ndarray,
-        l1_base: np.ndarray,
-        l2_base: np.ndarray,
-        llc_base: np.ndarray,
-        op_counts: Tuple[int, ...],
-    ):
+    def __init__(self, config_name: str, rows: List[Tuple[int, ...]],
+                 op_counts: Tuple[int, ...]):
         self.config_name = config_name
-        self.length = len(opcodes)
-        self.opcodes = opcodes
-        self.cores = cores
-        self.tags = tags
-        self.l1_base = l1_base
-        self.l2_base = l2_base
-        self.llc_base = llc_base
+        self._rows = rows
         #: Executed-op tally per opcode, precomputed so metrics flushing
         #: costs nothing per op.
         self.op_counts = op_counts
-        self._rows = None
 
     def __len__(self) -> int:
-        return self.length
+        return len(self._rows)
 
-    def rows(self) -> list:
-        """The trace as a list of ``(code, core, tag, b1, b2, b3)`` tuples.
+    def rows(self) -> List[Tuple[int, ...]]:
+        """The trace as its list of ``(code, core, tag, b1, b2, b3)`` tuples.
 
-        CPython iterates plain tuples faster than ndarray rows, and the
-        zip is materialized once: replays of the same compiled trace
-        (sweep trials, benchmark rounds) skip the per-op tuple allocation
-        entirely.  The arrays are treated as immutable after compile.
+        The list is the compiled trace itself, shared by every replay
+        (sweep trials, benchmark rounds); treat it as immutable.
         """
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = list(
-                zip(
-                    self.opcodes.tolist(), self.cores.tolist(),
-                    self.tags.tolist(), self.l1_base.tolist(),
-                    self.l2_base.tolist(), self.llc_base.tolist(),
-                )
-            )
-        return rows
+        return self._rows
 
     def ops(self) -> Iterator[Tuple[str, int, int]]:
         """Reconstruct the ``(op, core, addr)`` stream.
@@ -123,9 +87,7 @@ class CompiledTrace:
         engine is bit-identical to replaying the original trace.
         """
         names = OP_NAMES
-        for code, core, tag in zip(
-            self.opcodes.tolist(), self.cores.tolist(), self.tags.tolist()
-        ):
+        for code, core, tag, _, _, _ in self._rows:
             yield names[code], core, tag
 
 
@@ -187,12 +149,8 @@ def compile_trace(machine, ops: Iterable[Tuple[str, int, int]]) -> CompiledTrace
     memo_get = memo.get
     opcode_get = _OPCODES.get
 
-    codes = []
-    cores = []
-    tags = []
-    b1s = []
-    b2s = []
-    b3s = []
+    rows: List[Tuple[int, ...]] = []
+    append = rows.append
     op_counts = [0] * len(OP_NAMES)
     for op, core, addr in ops:
         code = opcode_get(op)
@@ -202,23 +160,9 @@ def compile_trace(machine, ops: Iterable[Tuple[str, int, int]]) -> CompiledTrace
             raise SimulationError(
                 f"core {core} out of range for {n_cores}-core machine"
             )
-        entry = memo_get(addr) if type(addr) is int else None
-        if entry is None:
-            entry = resolve(addr)
-        codes.append(code)
-        cores.append(core)
-        tags.append(entry[0])
-        b1s.append(entry[1])
-        b2s.append(entry[2])
-        b3s.append(entry[3])
+        route = memo_get(addr) if type(addr) is int else None
+        if route is None:
+            route = resolve(addr)
+        append((code, core) + route)
         op_counts[code] += 1
-    return CompiledTrace(
-        config_name=machine.config.name,
-        opcodes=np.asarray(codes, dtype=np.int64),
-        cores=np.asarray(cores, dtype=np.int64),
-        tags=np.asarray(tags, dtype=np.int64),
-        l1_base=np.asarray(b1s, dtype=np.int64),
-        l2_base=np.asarray(b2s, dtype=np.int64),
-        llc_base=np.asarray(b3s, dtype=np.int64),
-        op_counts=tuple(op_counts),
-    )
+    return CompiledTrace(machine.config.name, rows, tuple(op_counts))

@@ -39,9 +39,9 @@ per-level map from dense bases — ``(slice * sets + set) * ways``, what
 routes and compiled traces carry — to row bases translates on fills.  So
 a session never allocates the 8192-set LLC.  The mutable hot-path planes
 are flat Python lists — CPython scalar indexing on lists beats ndarray
-scalar indexing — while the compiled traces (:mod:`repro.engine.compile`)
-and the public :func:`hierarchy_arrays` / :func:`pmu_vectors` views are
-NumPy arrays.
+scalar indexing — and compiled traces (:mod:`repro.engine.compile`) are
+lists of row tuples; only the public :func:`hierarchy_arrays` /
+:func:`pmu_vectors` views are NumPy arrays.
 
 Supported configurations: Tree-PLRU private levels (the only private
 policy :class:`~repro.cache.hierarchy.CacheHierarchy` installs) and any of

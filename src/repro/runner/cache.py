@@ -13,6 +13,10 @@ trees of older releases are ignored (the first run after upgrading
 recomputes) and may be deleted.  The cache is fail-soft: unreadable/unwritable storage degrades to
 recomputation, never to an error — results must not depend on
 filesystem health.
+
+A sweep reads and writes through :meth:`ResultCache.transaction`, so its
+lookups share one read snapshot and its puts commit once, not once per
+entry.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ import os
 import sqlite3
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Iterator, Optional, Union
 
 from ..cache import ENGINE_VERSION
 from .shard import canonical_json
@@ -47,6 +52,18 @@ def default_cache_root() -> Path:
     if override:
         return Path(override)
     return Path.home() / ".cache" / "repro-leakyway"
+
+
+class _Transaction:
+    """Bookkeeping of one open :meth:`ResultCache.transaction` block."""
+
+    __slots__ = ("db", "written", "evicted")
+
+    def __init__(self, db: sqlite3.Connection):
+        self.db = db
+        #: Entries put, and entries evicted, since the last commit.
+        self.written = 0
+        self.evicted = 0
 
 
 class ResultCache:
@@ -124,6 +141,7 @@ class ResultCache:
         """
         try:
             db = self._db()
+            self._join(db, "BEGIN")
             row = db.execute("SELECT payload FROM entries WHERE key = ?",
                              (key,)).fetchone()
         except (sqlite3.Error, OSError):
@@ -159,45 +177,121 @@ class ResultCache:
         except ValueError:
             self.rejected += 1
             return
+        txn = None
         try:
             db = self._db()
+            txn = self._join(db, "BEGIN IMMEDIATE")
             db.execute(
                 "INSERT OR REPLACE INTO entries (key, payload, bytes, written)"
                 " VALUES (?, ?, ?, ?)",
                 (key, text, len(text), time.time()),
             )
+            if txn is not None:
+                txn.written += 1
             if self.max_bytes is None:
                 return
             if self._total_bytes is None or self._total_bytes + len(text) > self.max_bytes:
-                self._evict(db, keep=key)
+                self._evict(db, keep=key, txn=txn)
             else:
                 self._total_bytes += len(text)
         except (sqlite3.Error, OSError):
             self.errors += 1  # fail-soft: a broken cache only costs recomputation
+            if txn is not None and not txn.db.in_transaction:
+                # sqlite rolled the whole transaction back: its puts are lost.
+                self._dropped(txn)
 
-    def _evict(self, db: sqlite3.Connection, keep: str) -> None:
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        """Run this thread's :meth:`get` / :meth:`put` calls as one transaction.
+
+        The first call inside the block opens it: a get a read
+        transaction (``BEGIN``), so a run of lookups shares one snapshot;
+        a put a write transaction (``BEGIN IMMEDIATE``), so a run of puts
+        commits once instead of once per entry.  Leaving the block
+        commits, also when an exception leaves it, so entries put before
+        the error stay cached.  A block inside an open one joins it, and
+        eviction runs inside it without a nested ``BEGIN``.
+
+        Fail-soft like the accessors: a commit that fails rolls back and
+        counts every entry it held in :attr:`errors` (its evictions are
+        undone, so they leave :attr:`evicted` too).
+        """
+        local = self._local
+        outer = getattr(local, "txn", None)
+        try:
+            db = self._db()
+        except (sqlite3.Error, OSError):
+            db = None  # the calls inside fail soft one by one
+        if db is None or (outer is not None and outer.db is db):
+            yield
+            return
+        txn = local.txn = _Transaction(db)
+        try:
+            yield
+        finally:
+            local.txn = outer
+            if db.in_transaction:
+                try:
+                    db.execute("COMMIT")
+                except sqlite3.Error:
+                    try:
+                        db.execute("ROLLBACK")
+                    except sqlite3.Error:
+                        pass
+                    self._dropped(txn)
+
+    def _join(self, db: sqlite3.Connection, begin: str) -> Optional[_Transaction]:
+        """The open :meth:`transaction` on ``db``, begun with ``begin`` if
+        no statement has begun it yet; None outside a block."""
+        txn = getattr(self._local, "txn", None)
+        if txn is None or txn.db is not db:
+            return None  # no block, or a forked child's fresh connection
+        if not db.in_transaction:
+            db.execute(begin)
+        return txn
+
+    def _dropped(self, txn: _Transaction) -> None:
+        """Account a rolled-back transaction's puts and evictions."""
+        self.errors += txn.written
+        self.evicted -= txn.evicted
+        txn.written = txn.evicted = 0
+        self._total_bytes = None  # re-read the table on the next budgeted put
+
+    def _evict(self, db: sqlite3.Connection, keep: str,
+               txn: Optional[_Transaction] = None) -> None:
         """Drop oldest entries until the budget holds, sparing ``keep``.
 
         Re-reads the table, so entries of other handles and processes
         sharing the root count and are evictable too.  ``keep`` is the
-        entry just written: evicting it would defeat the put.
+        entry just written: evicting it would defeat the put.  Inside an
+        open :meth:`transaction` (``txn``) the deletes join it; otherwise
+        they commit as one transaction of their own.
         """
-        with db:
-            db.execute("BEGIN IMMEDIATE")
-            entries = db.execute(
-                "SELECT key, bytes FROM entries ORDER BY written, rowid"
-            ).fetchall()
-            total = sum(size for _, size in entries)
-            doomed = []
-            for key, size in entries:
-                if total <= self.max_bytes:
-                    break
-                if key != keep:
-                    doomed.append((key,))
-                    total -= size
-            db.executemany("DELETE FROM entries WHERE key = ?", doomed)
+        if txn is None:
+            with db:
+                db.execute("BEGIN IMMEDIATE")
+                doomed, total = self._doomed(db, keep)
+        else:
+            doomed, total = self._doomed(db, keep)
+            txn.evicted += len(doomed)
         self.evicted += len(doomed)
         self._total_bytes = total
+
+    def _doomed(self, db: sqlite3.Connection, keep: str) -> tuple:
+        """Delete the oldest entries over budget; (deleted keys, bytes left)."""
+        entries = db.execute(
+            "SELECT key, bytes FROM entries ORDER BY written, rowid"
+        ).fetchall()
+        total = sum(size for _, size in entries)
+        doomed = []
+        for key, size in entries:
+            if total <= self.max_bytes:
+                break
+            if key != keep:
+                doomed.append((key,))
+                total -= size
+        db.executemany("DELETE FROM entries WHERE key = ?", doomed)
+        return doomed, total
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed (test helper)."""

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -294,19 +295,20 @@ def run_shards(
         else {}
     )
     if cache is not None:
-        for slot, shard in enumerate(shards):
-            digest = (
-                None if prefixes is None
-                else prefixes.digests[prefixes.json_of[slot]]
-            )
-            key = keys[slot] = _cache_key(cache, work, cache_tag, shard, digest)
-            hit = cache.get(key)
-            if hit is not None:
-                results[slot] = hit
-                trace.emit("runner.cache.hit", shard=shard.index, key=key)
-            else:
-                pending.append(shard)
-                trace.emit("runner.cache.miss", shard=shard.index, key=key)
+        with cache.transaction():  # one read snapshot for every lookup
+            for slot, shard in enumerate(shards):
+                digest = (
+                    None if prefixes is None
+                    else prefixes.digests[prefixes.json_of[slot]]
+                )
+                key = keys[slot] = _cache_key(cache, work, cache_tag, shard, digest)
+                hit = cache.get(key)
+                if hit is not None:
+                    results[slot] = hit
+                    trace.emit("runner.cache.hit", shard=shard.index, key=key)
+                else:
+                    pending.append(shard)
+                    trace.emit("runner.cache.miss", shard=shard.index, key=key)
     else:
         pending = shards
 
@@ -354,37 +356,41 @@ def run_shards(
             restores = len(pending)
 
     shard_seconds = registry.histogram("runner.shard.seconds", _SHARD_SECONDS_BUCKETS)
-    for shard, (result, failure, elapsed, attempts) in zip(pending, computed):
-        slot = slot_of[shard.index]
-        if attempts > 1:
-            retried_attempts += attempts - 1
-            trace.emit(
-                "runner.shard.retried",
-                shard=shard.index,
-                retries=attempts - 1,
-                recovered=failure is None,
-            )
-        if failure is not None:
-            if on_error == "raise":
-                raise ReproError(
-                    f"shard {shard.index} failed after {attempts} "
-                    f"attempt(s): {failure['error']}: {failure['message']}"
+    # The merge loop's puts commit as one write transaction — also when an
+    # ``on_error="raise"`` failure leaves it, so results merged before the
+    # failing shard stay cached.
+    with cache.transaction() if cache is not None else nullcontext():
+        for shard, (result, failure, elapsed, attempts) in zip(pending, computed):
+            slot = slot_of[shard.index]
+            if attempts > 1:
+                retried_attempts += attempts - 1
+                trace.emit(
+                    "runner.shard.retried",
+                    shard=shard.index,
+                    retries=attempts - 1,
+                    recovered=failure is None,
                 )
-            failed_shards += 1
-            results[slot] = {SHARD_ERROR_KEY: failure}
-            trace.emit(
-                "runner.shard.failed",
-                shard=shard.index,
-                attempts=attempts,
-                error=failure["error"],
-            )
-        else:
-            results[slot] = result
-            if cache is not None:
-                cache.put(keys[slot], result)
-            trace.emit("runner.shard", shard=shard.index, seconds=elapsed)
-        busy_seconds += elapsed
-        shard_seconds.observe(elapsed)
+            if failure is not None:
+                if on_error == "raise":
+                    raise ReproError(
+                        f"shard {shard.index} failed after {attempts} "
+                        f"attempt(s): {failure['error']}: {failure['message']}"
+                    )
+                failed_shards += 1
+                results[slot] = {SHARD_ERROR_KEY: failure}
+                trace.emit(
+                    "runner.shard.failed",
+                    shard=shard.index,
+                    attempts=attempts,
+                    error=failure["error"],
+                )
+            else:
+                results[slot] = result
+                if cache is not None:
+                    cache.put(keys[slot], result)
+                trace.emit("runner.shard", shard=shard.index, seconds=elapsed)
+            busy_seconds += elapsed
+            shard_seconds.observe(elapsed)
 
     registry.counter("runner.shards.total").inc(len(shards))
     registry.counter("runner.shards.computed").inc(len(pending))

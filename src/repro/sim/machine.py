@@ -265,7 +265,7 @@ class Machine:
                     served_handles[name].inc(n)
             if pollution is not None and pollution.injected != injected_before:
                 handles["pollution"].inc(pollution.injected - injected_before)
-        return results if record else compiled.length
+        return results if record else len(compiled)
 
     def _run_trace_batch(self, ops, record: bool) -> "List[MemOpResult] | int":
         """The ``batch`` backend of :meth:`run_trace`: a one-trial batch.

@@ -26,8 +26,10 @@ from repro.engine import (
     pmu_vectors,
     resolve_backend,
 )
+from repro.engine.compile import routes
 from repro.engine.soa import _plru_tables, supports
 from repro.errors import AddressError, ConfigurationError, SimulationError
+from repro.faults import FaultPlan
 from repro.sim.machine import Machine
 from repro.sim.process import Load
 from repro.sim.scheduler import Scheduler
@@ -177,6 +179,64 @@ class TestCompiledTrace:
         assert list(compiled.ops()) == trace
         assert len(compiled) == len(trace)
         assert sum(compiled.op_counts) == len(trace)
+
+    def test_rows_are_plain_int_tuples(self):
+        """One ``(code, core, tag, b1, b2, b3)`` row per op, the route of
+        its address; ``len()`` is the op count perfbench reads."""
+        machine = Machine(TINY, seed=0)
+        trace = mixed_trace(6, 200)
+        compiled = compile_trace(machine, trace)
+        memo, _ = routes(machine)
+        assert compiled.rows() == [
+            (OP_NAMES.index(op), core) + memo[addr] for op, core, addr in trace
+        ]
+        assert {type(v) for row in compiled.rows() for v in row} == {int}
+        assert len(compiled) == len(trace) == len(compiled.rows())
+
+    @pytest.mark.parametrize("backend", ["soa", "batch"])
+    def test_precompiled_trace_replays_under_pollution(self, backend):
+        """A compiled trace fed to a polluting machine replays through
+        ``ops()``, drawing pollution exactly as the object engine does."""
+        faults = FaultPlan(seed=13, pollution_probability=0.05, pollution_burst=3)
+        trace = mixed_trace(7, 1500)
+        compiled = compile_trace(Machine(TINY, seed=0), trace)
+        reference = Machine(TINY, seed=4, faults=faults, backend="object")
+        machine = Machine(TINY, seed=4, faults=faults, backend=backend)
+        assert machine.run_trace(compiled, record=True) == reference.run_trace(
+            trace, record=True
+        )
+        assert machine.pollution.injected == reference.pollution.injected > 0
+        assert machine.checkpoint().digest() == reference.checkpoint().digest()
+
+    @pytest.mark.parametrize("backend", ["soa", "batch"])
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (("movnti", 0, 64), SimulationError),
+            (("load", TINY.cores, 64), SimulationError),
+            (("load", 0, -64), AddressError),
+            (("load", 0, 64.0), AddressError),
+        ],
+        ids=["op", "core", "negative", "float"],
+    )
+    def test_bad_last_op_raises_before_any_op_runs(self, backend, bad, error):
+        """Compile validates the whole trace first: a bad final op leaves
+        cache state, clock, level statistics and PMU counters untouched."""
+        machine = Machine(TINY, seed=0, backend=backend)
+        machine.run_trace(mixed_trace(8, 300))  # live state to protect
+
+        def state():
+            levels = [*machine.hierarchy.l1s, *machine.hierarchy.l2s,
+                      machine.hierarchy.llc]
+            return machine.checkpoint().digest(), [
+                (s.hits, s.misses, s.fills, s.evictions, s.invalidations)
+                for s in (level.stats for level in levels)
+            ]
+
+        before = state()
+        with pytest.raises(error):
+            machine.run_trace(mixed_trace(9, 100) + [bad])
+        assert state() == before
 
     def test_rows_are_cached(self):
         compiled = compile_trace(Machine(TINY, seed=0), mixed_trace(5, 100))

@@ -1,19 +1,22 @@
 """Result cache storage: the byte budget, sharing, and failure modes.
 
 Oldest-first eviction under ``max_bytes``, entries shared between
-handles and processes on one root, and fail-soft behaviour when the
-cache file cannot be opened.  Entry presence is checked through a
+handles and processes on one root, sweep-scoped transactions, and
+fail-soft behaviour when the cache file cannot be opened or commit.  Entry presence is checked through a
 second handle, so the counters of the handle under test stay exact.
 """
 
 import json
 import multiprocessing
 import os
+import sqlite3
 import sys
 import threading
+from contextlib import closing, nullcontext
 
 import pytest
 
+from repro.analysis.reporting import runner_summary
 from repro.obs import MetricsRegistry
 from repro.runner import ResultCache, Shard, make_shards, run_shards
 
@@ -237,7 +240,7 @@ class TestMetricsSurface:
             clear_warm_states()
         counters = registry.as_dict("runner.")["counters"]
         assert counters["runner.cache.evicted"] == cache.evicted
-        assert cache.evicted > 0
+        assert cache.evicted == 6  # two of the eight entries fit the budget
 
     def test_sweep_results_correct_even_while_evicting(self, tmp_path):
         cache = ResultCache(str(tmp_path), max_bytes=600)
@@ -245,3 +248,108 @@ class TestMetricsSurface:
         bounded = run_shards(_worker, shards, cache=cache)
         unbounded = run_shards(_worker, shards)
         assert bounded == unbounded
+
+
+def _control(statements):
+    """The transaction-control statements among traced ``statements``."""
+    return [s for s in statements if s.split()[0] in ("BEGIN", "COMMIT", "ROLLBACK")]
+
+
+def _traced(cache):
+    """Every statement ``cache``'s connection runs from now on."""
+    seen = []
+    cache._db().set_trace_callback(seen.append)
+    return seen
+
+
+class _FailingCommit(sqlite3.Connection):
+    """A connection whose COMMIT fails, as a full disk would make it."""
+
+    def execute(self, sql, *args):
+        if sql == "COMMIT":
+            raise sqlite3.OperationalError("database or disk is full")
+        return super().execute(sql, *args)
+
+
+class TestTransaction:
+    @pytest.mark.parametrize("budget", [None, 3 * SIZE], ids=["unbounded", "budget"])
+    def test_counts_equal_the_per_entry_path(self, tmp_path, budget):
+        """Hits, misses, corrupt, rejected, evicted and errors — and what
+        is stored — do not depend on grouping the calls."""
+        keys = [f"k{i}" for i in range(6)]
+
+        def script(root, group):
+            cache = ResultCache(root, max_bytes=budget)
+            with group(cache):
+                for key in keys:
+                    cache.put(key, PAYLOAD)
+                cache.put("nan", {"x": float("nan")})
+            with closing(sqlite3.connect(cache.path)) as db, db:
+                db.execute("UPDATE entries SET payload = '{torn' WHERE key = 'k5'")
+            with group(cache):
+                for key in ("k0", "k4", "k5", "k5", "k9", "nan"):
+                    cache.get(key)
+            counts = (cache.hits, cache.misses, cache.corrupt, cache.rejected,
+                      cache.evicted, cache.errors)
+            return counts, _stored(root, *keys)
+
+        per_entry = script(tmp_path / "per-entry", lambda cache: nullcontext())
+        grouped = script(tmp_path / "grouped", lambda cache: cache.transaction())
+        assert grouped == per_entry
+        assert per_entry[0][2] == 1  # the torn entry was seen
+
+    def test_one_sweep_commits_its_puts_once(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        seen = _traced(cache)
+        shards = make_shards(0, [{"x": i} for i in range(8)])
+        run_shards(_worker, shards, cache=cache)
+        assert _control(seen) == ["BEGIN", "COMMIT", "BEGIN IMMEDIATE", "COMMIT"]
+        assert sum(s.startswith("INSERT") for s in seen) == 8
+        seen.clear()
+        run_shards(_worker, shards, cache=cache)  # fully cached: lookups only
+        assert _control(seen) == ["BEGIN", "COMMIT"]
+        assert (cache.hits, cache.misses) == (8, 8)
+
+    def test_budgeted_sweep_evicts_inside_its_write_transaction(self, tmp_path):
+        cache = ResultCache(tmp_path, max_bytes=600)
+        seen = _traced(cache)
+        run_shards(_worker, make_shards(0, [{"x": i} for i in range(8)]), cache=cache)
+        assert cache.evicted == 6
+        assert any(s.startswith("DELETE") for s in seen)
+        assert _control(seen) == ["BEGIN", "COMMIT", "BEGIN IMMEDIATE", "COMMIT"]
+
+    def test_nested_block_joins_the_outer_one(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        seen = _traced(cache)
+        with cache.transaction():
+            cache.put("a", PAYLOAD)
+            with cache.transaction():
+                cache.put("b", PAYLOAD)
+            assert _stored(tmp_path, "a", "b") == []  # not committed yet
+        assert _control(seen) == ["BEGIN IMMEDIATE", "COMMIT"]
+        assert _stored(tmp_path, "a", "b") == ["a", "b"]
+
+    def test_exception_leaving_the_block_still_commits(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        with pytest.raises(RuntimeError):
+            with cache.transaction():
+                cache.put("a", PAYLOAD)
+                raise RuntimeError("sweep aborted")
+        assert _stored(tmp_path, "a") == ["a"]
+
+    def test_failed_commit_counts_every_dropped_entry(self, tmp_path, monkeypatch):
+        connect = sqlite3.connect
+        monkeypatch.setattr(
+            sqlite3, "connect",
+            lambda *args, **kwargs: connect(*args, factory=_FailingCommit, **kwargs),
+        )
+        cache = ResultCache(tmp_path, max_bytes=600)
+        registry = MetricsRegistry()
+        shards = make_shards(0, [{"x": i} for i in range(8)])
+        results = run_shards(_worker, shards, cache=cache, metrics=registry)
+        assert results == run_shards(_worker, shards)  # the sweep is unaffected
+        assert (cache.errors, cache.evicted) == (8, 0)  # evictions rolled back
+        assert registry.counter("runner.cache.errors").value == 8
+        assert "cache write failed (8)" in runner_summary(registry)
+        with closing(connect(cache.path)) as db:
+            assert db.execute("SELECT COUNT(*) FROM entries").fetchone() == (0,)

@@ -32,6 +32,12 @@ def _square_worker(shard: Shard) -> dict:
             "square": shard.params["x"] ** 2}
 
 
+def _failing_worker(shard: Shard) -> dict:
+    if shard.params["fail"]:
+        raise ValueError("injected")
+    return {"x": shard.params["x"]}
+
+
 def _nan_worker(shard: Shard) -> dict:
     return {"index": shard.index, "ber": float("nan")}
 
@@ -177,6 +183,17 @@ class TestCacheHygiene:
         # The recompute-and-put path repairs the entry.
         cache.put(key, {"x": 2})
         assert cache.get(key) == {"x": 2}
+
+    def test_raise_keeps_results_merged_before_the_failure(self, tmp_path):
+        """``on_error="raise"`` aborts the merge, but its write transaction
+        still commits what was merged before the failing shard."""
+        shards = make_shards(0, [{"x": i, "fail": i == 5} for i in range(8)])
+        with pytest.raises(ReproError, match="shard 5 failed"):
+            run_shards(_failing_worker, shards, cache=ResultCache(tmp_path),
+                       retries=1, on_error="raise")
+        fresh = ResultCache(tmp_path)
+        run_shards(_failing_worker, shards[:5], cache=fresh)
+        assert (fresh.hits, fresh.misses) == (5, 0)
 
     def test_unreadable_entry_is_plain_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
