@@ -123,7 +123,9 @@ def _cache_key(
     """Content key for one shard's result.
 
     A plan's shards add their prefix checkpoint ``digest`` and the engine
-    backend (:meth:`engine_of`) to the key.
+    backend (:meth:`engine_of`) to the key.  The backend goes in as
+    ``backend``: :meth:`ResultCache.key` already puts ``ENGINE_VERSION``
+    under ``engine``, and a component of that name would overwrite it.
     """
     components: Dict[str, Any] = {
         "worker": _identity(work),
@@ -132,7 +134,7 @@ def _cache_key(
         "params": shard.params,
     }
     if digest is not None:
-        components.update(checkpoint=digest, engine=work.engine_of(shard))
+        components.update(checkpoint=digest, backend=work.engine_of(shard))
     return cache.key(**components)
 
 

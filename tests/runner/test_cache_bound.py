@@ -242,6 +242,32 @@ class TestMetricsSurface:
         assert counters["runner.cache.evicted"] == cache.evicted
         assert cache.evicted == 6  # two of the eight entries fit the budget
 
+    @pytest.mark.parametrize("kind", ["worker", "warmstart", "batch"])
+    def test_engine_version_bump_invalidates_every_kind(
+        self, tmp_path, monkeypatch, kind
+    ):
+        """Plans add their backend to the key; it must not replace the
+        engine version, or a version bump would replay stale rows."""
+        from repro.experiments.insertion_sweep import BATCH_PLAN, SCALAR_PLAN
+        from repro.runner import clear_warm_states
+
+        work, shards = {
+            "worker": (_worker, make_shards(0, [{"x": i} for i in range(8)])),
+            "warmstart": (SCALAR_PLAN, _fig2_shards()),
+            "batch": (BATCH_PLAN, _fig2_shards()),
+        }[kind]
+        try:
+            run_shards(work, shards, cache=ResultCache(tmp_path))
+            again = ResultCache(tmp_path)
+            run_shards(work, shards, cache=again)
+            assert (again.hits, again.misses) == (8, 0)
+            monkeypatch.setattr("repro.runner.cache.ENGINE_VERSION", "bumped")
+            bumped = ResultCache(tmp_path)
+            run_shards(work, shards, cache=bumped)
+        finally:
+            clear_warm_states()
+        assert (bumped.hits, bumped.misses) == (0, 8)
+
     def test_sweep_results_correct_even_while_evicting(self, tmp_path):
         cache = ResultCache(str(tmp_path), max_bytes=600)
         shards = make_shards(0, [{"x": i} for i in range(8)])

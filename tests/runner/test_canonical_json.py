@@ -165,15 +165,18 @@ class TestPinnedSweep:
     """Keys, seeds and fingerprint of a small Skylake Fig 2 sweep.
 
     Pinned from the per-file cache release; a change here invalidates
-    every user's result cache and breaks store history comparisons.
+    every user's result cache and breaks store history comparisons.  The
+    keys were re-pinned once, when plan keys stopped letting the engine
+    backend overwrite ``ENGINE_VERSION`` (the fingerprint and seeds did
+    not change).
     """
 
     FINGERPRINT = "02705b76632b422216ccad60ac33edc0d551b5712ebf1432127687cba9196ffe"
     KEYS = [
-        "470a2637b40aef1095deac2fc758149964b567f46c895cadcd779846c80f4855",
-        "5456c465d0c3a58c65a1d6da696c4107e063ae3cae113bed95d373c5552be9db",
-        "a2488179f46dc3e561a182d22bb5dbcbc8269b1d86681522753f4b1129915324",
-        "4299a1c0c3d183c674a589724d1d43b3968bb31895cad848bb0cdc3b935aae19",
+        "a9b5338feb53cd5f3e992e41886440dae0bb1d8d7fa4d08822675325848def6f",
+        "2e65fde4153c8ab44776b5d0895a94fa276a2654d12fb68adbc0eb866731eb62",
+        "45baac2f873cdb02c10da3834d1a3ac5b79cd18438f25cfc552d8e5d73cb7131",
+        "931245666806b883898e07f7ab91d81bbba7bb03a36739829fd15bf4bd0a8c46",
     ]
     SEEDS = [7073951211798661698, 8238810419586620402,
              5773872466739141116, 6765153604371966670]
