@@ -656,7 +656,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from .runner.cache import default_cache_root
-    from .service import JobQueue, make_backend, run_service
+    from .service import JobQueue, LocalBackend, run_service
     from .store import env_store_path
 
     cache_root = (
@@ -664,16 +664,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
         else (args.cache_dir or str(default_cache_root()))
     )
     queue = JobQueue(args.queue, max_depth=args.max_depth)
-    backend = make_backend(
-        args.backend, cache_root=cache_root,
-        store_path=args.store or env_store_path(),
+    backend = LocalBackend(
+        cache_root=cache_root, store_path=args.store or env_store_path(),
     )
 
     def ready(service) -> None:
         print(
             f"[serve] http://{service.host}:{service.port} "
-            f"backend={args.backend} workers={args.workers} "
-            f"queue={args.queue} depth<={args.max_depth}",
+            f"workers={args.workers} queue={args.queue} "
+            f"depth<={args.max_depth}",
             file=sys.stderr, flush=True,
         )
 
@@ -1008,11 +1007,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "restarts); ':memory:' for a throwaway queue")
     p.add_argument("--max-depth", type=int, default=64, metavar="N",
                    help="pending-job ceiling before submissions get 429")
-    p.add_argument("--backend", choices=("local", "subprocess"),
-                   default="local",
-                   help="shard execution backend: in-process runner stack, "
-                        "or a worker process over the pipe protocol "
-                        "(identical results either way)")
     p.add_argument("--workers", type=int, default=1, metavar="N",
                    help="concurrent dispatcher slots (jobs run at once)")
     p.add_argument("--store", metavar="DB", default=None,

@@ -1,4 +1,4 @@
-"""The sweep service: queue, backends, HTTP front end, client.
+"""The sweep service: queue, executor, HTTP front end, client.
 
 Promotes :mod:`repro.runner` from a single-process CLI into a job service
 with location-transparent shard execution — identical requests dedupe
@@ -12,15 +12,13 @@ Module                 Responsibility
 :mod:`.spec`           :class:`JobSpec` — the validated JSON surface
 :mod:`.queue`          :class:`JobQueue` — persistent sqlite priority queue
 :mod:`.exec`           :func:`execute_job` — spec → experiment call
-:mod:`.backends`       :class:`LocalBackend` / :class:`SubprocessBackend`
-:mod:`.protocol`       length-prefixed JSON pipe framing
-:mod:`.worker`         the subprocess worker main loop
+:mod:`.backends`       :class:`LocalBackend` — the in-process executor
 :mod:`.server`         :class:`SweepService` — asyncio HTTP + dispatcher
 :mod:`.client`         :class:`ServiceClient` — blocking HTTP client
 =====================  =================================================
 """
 
-from .backends import BACKENDS, Backend, LocalBackend, SubprocessBackend, make_backend
+from .backends import LocalBackend
 from .client import ServiceClient
 from .exec import ForwardingTrace, execute_job
 from .queue import DEFAULT_MAX_DEPTH, Job, JobQueue, QUEUE_SCHEMA_VERSION
@@ -28,8 +26,6 @@ from .server import ServiceThread, SweepService, run_service
 from .spec import EXPERIMENT_PARAMS, PLATFORMS, JobSpec, register_platform
 
 __all__ = [
-    "BACKENDS",
-    "Backend",
     "DEFAULT_MAX_DEPTH",
     "EXPERIMENT_PARAMS",
     "ForwardingTrace",
@@ -41,10 +37,8 @@ __all__ = [
     "QUEUE_SCHEMA_VERSION",
     "ServiceClient",
     "ServiceThread",
-    "SubprocessBackend",
     "SweepService",
     "execute_job",
-    "make_backend",
     "register_platform",
     "run_service",
 ]

@@ -11,8 +11,8 @@ the service adds scheduling around the computation, never inside it.
 Progress flows out through a :class:`ForwardingTrace`, a plain
 :class:`~repro.obs.EventTrace` that additionally hands every event to a
 sink callable the moment it is emitted — the feed behind the server's SSE
-streams and the subprocess worker's event messages.  Traces are purely
-observational, so forwarding them cannot perturb results.
+streams.  Traces are purely observational, so forwarding them cannot
+perturb results.
 """
 
 from __future__ import annotations

@@ -2,15 +2,16 @@
 
 Stdlib-only (``asyncio.start_server`` with a small HTTP/1.1 layer — no new
 dependencies).  The service owns a persistent :class:`JobQueue` and one
-execution :class:`Backend`; dispatcher tasks claim jobs in priority/FIFO
-order and run them on the backend via ``asyncio.to_thread``, so the event
-loop keeps serving requests while sweeps execute.
+:class:`LocalBackend`; dispatcher tasks claim jobs in priority/FIFO order
+and run them on the backend via ``asyncio.to_thread``, so the event loop
+keeps serving requests while sweeps execute.
 
 Routes::
 
     POST /jobs             submit a JSON job spec    → 202 {job}
                            queue full                → 429 + Retry-After
                            invalid spec              → 400 {error}
+                           body over the size cap    → 413 {error}
     GET  /jobs[?state=s]   list jobs, newest first
     GET  /jobs/{id}        one job's state/result
     GET  /jobs/{id}/events SSE progress stream (trace events + lifecycle)
@@ -37,12 +38,24 @@ from urllib.parse import parse_qs, urlsplit
 
 from ..errors import QueueFullError, ServiceError
 from ..obs import MetricsRegistry
-from .backends import Backend
+from .backends import LocalBackend
 from .queue import Job, JobQueue
 from .spec import JobSpec
 
 #: Events kept per job for SSE replay; older events are dropped oldest-first.
 MAX_BUFFERED_EVENTS = 4096
+
+#: Largest request body accepted.  A job spec is a few hundred bytes; the
+#: cap bounds what one client can make the server buffer.
+MAX_REQUEST_BYTES = 1024 * 1024
+
+
+class _Rejected(Exception):
+    """A request refused before routing; carries its HTTP status."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 class _JobFeed:
@@ -72,7 +85,7 @@ class SweepService:
     def __init__(
         self,
         queue: JobQueue,
-        backend: Backend,
+        backend: LocalBackend,
         workers: int = 1,
         registry: Optional[MetricsRegistry] = None,
     ):
@@ -156,7 +169,7 @@ class SweepService:
         self._update_depth()
 
         def sink(event: Dict[str, Any]) -> None:
-            # Called from the backend's worker thread (or pipe reader).
+            # Called from the backend's worker thread.
             loop.call_soon_threadsafe(feed.push, event)
 
         started = time.monotonic()
@@ -194,7 +207,14 @@ class SweepService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request = await self._read_request(reader)
+            try:
+                request = await self._read_request(reader)
+            except _Rejected as rejected:
+                self.registry.counter("service.jobs.rejected").inc()
+                await self._send_json(
+                    writer, rejected.status, {"error": str(rejected)}
+                )
+                return
             if request is None:
                 return
             method, target, body = request
@@ -210,25 +230,39 @@ class SweepService:
 
     @staticmethod
     async def _read_request(reader: asyncio.StreamReader):
-        try:
-            request_line = await reader.readline()
-        except (ConnectionError, asyncio.LimitOverrunError):
-            return None
-        if not request_line:
-            return None
-        parts = request_line.decode("latin-1").split()
-        if len(parts) != 3:
-            return None
-        method, target, _version = parts
+        """``(method, target, body)``, or None for a request to drop unanswered.
+
+        Raises :class:`_Rejected` for a malformed or oversized body length.
+        """
         headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        body = await reader.readexactly(length) if length else b""
+        try:
+            parts = (await reader.readline()).decode("latin-1").split()
+            if len(parts) != 3:
+                return None
+            method, target, _version = parts
+            while True:
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+        except ValueError:  # a line longer than the reader's limit
+            return None
+        text = headers.get("content-length", "0")
+        if not (text.isascii() and text.isdigit()):
+            raise _Rejected(400, f"malformed Content-Length {text[:32]!r}")
+        # Count digits before converting: int() refuses very long strings.
+        digits = text.lstrip("0") or "0"
+        if (len(digits) > len(str(MAX_REQUEST_BYTES))
+                or int(digits) > MAX_REQUEST_BYTES):
+            raise _Rejected(
+                413, f"body exceeds the {MAX_REQUEST_BYTES}-byte cap"
+            )
+        length = int(digits)
+        try:
+            body = await reader.readexactly(length)
+        except asyncio.IncompleteReadError:
+            return None  # the client hung up mid-body
         return method, target, body
 
     async def _route(
@@ -370,6 +404,7 @@ class SweepService:
         202: "Accepted",
         400: "Bad Request",
         404: "Not Found",
+        413: "Payload Too Large",
         429: "Too Many Requests",
         500: "Internal Server Error",
     }
@@ -396,7 +431,7 @@ class SweepService:
 
 async def run_service(
     queue: JobQueue,
-    backend: Backend,
+    backend: LocalBackend,
     host: str = "127.0.0.1",
     port: int = 8766,
     workers: int = 1,
@@ -425,7 +460,7 @@ class ServiceThread:
     def __init__(
         self,
         queue: JobQueue,
-        backend: Backend,
+        backend: LocalBackend,
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 1,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from ..config import KABY_LAKE, SKYLAKE, PlatformConfig
-from ..errors import ServiceError
+from ..errors import ConfigurationError, ReproError, ServiceError
 from ..faults import FaultPlan
 from ..runner.shard import canonical_json
 
@@ -78,12 +78,13 @@ class JobSpec:
     retries: int = 0
 
     def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENT_PARAMS:
+        experiment = self.experiment
+        if not isinstance(experiment, str) or experiment not in EXPERIMENT_PARAMS:
             raise ServiceError(
-                f"unknown experiment {self.experiment!r} "
+                f"unknown experiment {experiment!r} "
                 f"(choose from {', '.join(sorted(EXPERIMENT_PARAMS))})"
             )
-        if self.platform not in PLATFORMS:
+        if not isinstance(self.platform, str) or self.platform not in PLATFORMS:
             raise ServiceError(
                 f"unknown platform {self.platform!r} "
                 f"(choose from {', '.join(sorted(PLATFORMS))})"
@@ -98,6 +99,16 @@ class JobSpec:
                 f"unknown {self.experiment} param(s): {', '.join(unknown)} "
                 f"(allowed: {', '.join(sorted(EXPERIMENT_PARAMS[self.experiment]))})"
             )
+        for name in ("seed", "jobs", "priority", "retries"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ServiceError(
+                    f"{name} must be an integer, got {type(value).__name__}"
+                )
+        if not isinstance(self.warm_start, bool):
+            raise ServiceError(
+                f"warm_start must be a boolean, got {type(self.warm_start).__name__}"
+            )
         if self.jobs < 0:
             raise ServiceError(f"jobs must be >= 0, got {self.jobs}")
         if self.retries < 0:
@@ -105,9 +116,17 @@ class JobSpec:
         if self.engine is not None:
             from ..engine import resolve_backend
 
-            resolve_backend(self.engine)  # raises on unknown names
+            try:
+                resolve_backend(self.engine)
+            except ConfigurationError as error:
+                raise ServiceError(str(error)) from error
         if self.faults is not None:
-            FaultPlan.from_dict(self.faults)  # raises on malformed plans
+            try:
+                FaultPlan.from_dict(self.faults)
+            except (ReproError, TypeError) as error:
+                # A field of the wrong type fails the plan's own range
+                # checks with a TypeError.
+                raise ServiceError(f"invalid fault plan: {error}") from error
 
     # -- identity ----------------------------------------------------------
 

