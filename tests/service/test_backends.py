@@ -1,8 +1,8 @@
-"""LocalBackend execution: results, cache reuse, shutdown."""
+"""LocalBackend execution: results, cache reuse, shutdown, failed jobs."""
 
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import ChannelError, ServiceError
 from repro.service import JobSpec, LocalBackend
 
 SPEC = JobSpec(
@@ -50,3 +50,28 @@ class TestLocalBackend:
         backend.close()
         with pytest.raises(ServiceError, match="closed"):
             backend.run_job(SPEC)
+
+
+class TestSubprocessBackend:
+    """Checks first written for the out-of-process worker that LocalBackend
+    replaced; the property they pin still holds for the in-process executor."""
+
+    def test_worker_survives_a_failed_job(self, node):
+        backend = LocalBackend(*node)
+        try:
+            # Every shard crash-faults with no retries, so the sweep drops
+            # all its points and peak() raises — a *job* error, which must
+            # leave the executor and its runtime usable.
+            doomed = JobSpec(
+                experiment="capacity",
+                params={"channel": "ntp+ntp", "intervals": [2100], "n_bits": 16},
+                faults={"seed": 0, "crash_probability": 1.0},
+            )
+            with pytest.raises(ChannelError, match="no points"):
+                backend.run_job(doomed)
+            runtime = backend._runtime
+            result = backend.run_job(SPEC)  # same runtime takes the next job
+            assert backend._runtime is runtime
+            assert result["shards"]["total"] == 2
+        finally:
+            backend.close()
